@@ -268,6 +268,14 @@ class PolyBackend
         parallelFor(count, fn);
     }
 
+    /**
+     * The limb-kernel set this engine runs (see useKernels()). Scheme
+     * code that calls kernels from run() / CommandStream::task() bodies
+     * takes them from here, so the serial engine stays the scalar
+     * reference every wider engine is checked against.
+     */
+    const simd::KernelSet &kernels() const { return *kernels_; }
+
   protected:
     /**
      * Scheduling primitive: execute fn(i) for every i in [0, count),
@@ -289,8 +297,6 @@ class PolyBackend
     {
         kernels_ = &kernels;
     }
-
-    const simd::KernelSet &kernels() const { return *kernels_; }
 
   private:
     const simd::KernelSet *kernels_ = &simd::scalarKernels();

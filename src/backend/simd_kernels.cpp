@@ -7,6 +7,7 @@
 
 #include "backend/simd_kernels.h"
 
+#include "backend/simd_pbs_inl.h"
 #include "common/env.h"
 #include "common/logging.h"
 #include "poly/ntt.h"
@@ -160,6 +161,38 @@ nttInverseAddScalar(const NttTable &table, u64 *a, u64 *acc)
     addScalar(acc, acc, a, table.modulus(), table.n());
 }
 
+void
+rotateDecomposeScalar(u64 *const *dst, const u64 *src, u64 t,
+                      const Gadget &gadget, const Modulus &mod, size_t n)
+{
+    forEachRotateRange(src, t, n,
+                       [&](size_t x0, size_t x1, const u64 *rot, bool neg,
+                           bool diff) {
+                           rotateDecomposeSpanScalar(dst, src, x0, x1, rot,
+                                                     neg, diff, gadget,
+                                                     mod);
+                       });
+}
+
+void
+extProdMacScalar(u64 *dst, const u64 *const *a, const u64 *const *b,
+                 size_t rows, const Modulus &mod, size_t n)
+{
+    extProdMacScalarFrom(dst, a, b, rows, mod, 0, n);
+}
+
+void
+lweKsAccumulateScalar(i64 *acc, size_t acc_stride, const i8 *digits,
+                      size_t count, const u64 *row, size_t n)
+{
+    for (size_t c = 0; c < count; ++c) {
+        if (digits[c] != 0) {
+            lweKsAccumulateScalarFrom(acc + c * acc_stride, digits[c], row,
+                                      0, n);
+        }
+    }
+}
+
 const char *const kLevelNames[] = {"scalar", "avx2", "avx512"};
 
 const KernelSet *
@@ -190,7 +223,8 @@ scalarKernels()
         negScalar,              mulScalar,
         mulAddScalar,           scalarMulScalar,
         automorphismScalar,     bconvPass1Scalar,
-        bconvPass2Scalar,
+        bconvPass2Scalar,       rotateDecomposeScalar,
+        extProdMacScalar,       lweKsAccumulateScalar,
     };
     return set;
 }

@@ -8,10 +8,12 @@
  * the software counterpart is a KernelSet — one function pointer per
  * limb kernel (forward/inverse NTT, the Barrett-reduced element-wise
  * family, Shoup scalar multiply, the table-driven Galois automorphism
- * gather, and the two BConv passes) — with scalar, AVX2, and AVX-512
- * implementations. Every implementation computes the exact canonical
- * residues the scalar reference produces, so engines composed from any
- * set are bit-identical.
+ * gather, the two BConv passes, and the three non-NTT PBS kernels:
+ * fused rotate + gadget decomposition, the lazily reduced
+ * external-product MAC, and the LWE keyswitch accumulate) — with
+ * scalar, AVX2, and AVX-512 implementations. Every implementation
+ * computes the exact canonical residues the scalar reference produces,
+ * so engines composed from any set are bit-identical.
  *
  * Dispatch order is AVX-512 → AVX2 → scalar, constrained by what the
  * build compiled in (CMake probes -mavx2 / -mavx512f -mavx512dq per
@@ -27,6 +29,7 @@
 #include <cstddef>
 #include <string>
 
+#include "common/gadget.h"
 #include "common/modarith.h"
 #include "common/types.h"
 
@@ -136,6 +139,40 @@ struct KernelSet
     void (*bconvPass2)(u64 *y, const u64 *v, size_t vStride, size_t k,
                        const u64 *w, size_t wStride, const Modulus &mod,
                        size_t n);
+
+    /**
+     * Fused blind-rotation rotate + CMux difference + signed gadget
+     * decomposition of one GLWE component of n coefficients:
+     *     v[x] = (src * X^t)[x] - src[x] (mod q)   for t in [1, 2n),
+     *     v[x] = src[x]                            for t == 0,
+     * then dst[l][x] = digit l of v[x] (Gadget::decompose) as a residue
+     * mod q, for l < gadget.levels(). The negacyclic gather runs as two
+     * contiguous ranges and the quotient is division-free, so no `%`
+     * or division happens per coefficient. dst must not alias src.
+     */
+    void (*rotateDecompose)(u64 *const *dst, const u64 *src, u64 t,
+                            const Gadget &gadget, const Modulus &mod,
+                            size_t n);
+
+    /**
+     * External-product MAC over @p rows operand pairs:
+     * dst[i] = (sum_r a[r][i] * b[r][i]) mod q. Products accumulate raw
+     * in 128 bits with one exact Barrett fold per kBconvChunk terms
+     * (operands < 2^62), the bconvPass2 scheme — bit-identical to a
+     * term-by-term mulAdd chain.
+     */
+    void (*extProdMac)(u64 *dst, const u64 *const *a, const u64 *const *b,
+                       size_t rows, const Modulus &mod, size_t n);
+
+    /**
+     * LWE keyswitch accumulate of one key row into a batch of signed
+     * accumulators: acc[c*accStride + i] += digits[c] * row[i] for every
+     * c < count with digits[c] != 0 and i < n. Exact while every partial
+     * sum stays inside i64 — callers assert that bound from their
+     * parameters (|digit| * row * terms < 2^63).
+     */
+    void (*lweKsAccumulate)(i64 *acc, size_t accStride, const i8 *digits,
+                            size_t count, const u64 *row, size_t n);
 };
 
 /**

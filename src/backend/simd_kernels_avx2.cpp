@@ -18,6 +18,7 @@
 #if defined(__AVX2__)
 
 #include "backend/simd_avx_inl.h"
+#include "backend/simd_pbs_inl.h"
 #include "poly/ntt.h"
 
 namespace trinity {
@@ -358,6 +359,185 @@ bconvPass2Avx2(u64 *y, const u64 *v, size_t v_stride, size_t k,
     }
 }
 
+/** Broadcast gadget constants for the 4-lane decomposition. */
+struct GadgetYmm
+{
+    __m256i q, halfQ, recip, bLo, bHi, mask, halfBm1, base;
+    __m128i shift, shiftHi, logB;
+    u32 levels;
+    bool wide;
+
+    explicit GadgetYmm(const Gadget &g)
+        : q(bcast256(g.q())), halfQ(bcast256(g.halfQ())),
+          recip(bcast256(g.recip())), bLo(bcast256(g.barrettLo())),
+          bHi(bcast256(g.barrettHi())),
+          mask(bcast256((u64(1) << g.logBase()) - 1)),
+          halfBm1(bcast256((u64(1) << (g.logBase() - 1)) - 1)),
+          base(bcast256(u64(1) << g.logBase())),
+          shift(_mm_cvtsi32_si128(static_cast<int>(g.shift()))),
+          shiftHi(_mm_cvtsi32_si128(static_cast<int>(64 - g.shift()))),
+          logB(_mm_cvtsi32_si128(static_cast<int>(g.logBase()))),
+          levels(g.levels()), wide(g.wide())
+    {
+    }
+};
+
+/** Gadget::quotient per lane: round(v * 2^S / q) mod 2^64. */
+inline __m256i
+gadgetQuotientX4(__m256i v, const GadgetYmm &g)
+{
+    const __m256i one = bcast256(1);
+    __m256i num;
+    __m256i est;
+    if (!g.wide) {
+        num = _mm256_add_epi64(_mm256_sll_epi64(v, g.shift), g.halfQ);
+        est = mulhi64x4(num, g.recip);
+    } else {
+        // 128-bit numerator (hi, num); S == 64 shifts lo out entirely.
+        __m256i lo = _mm256_sll_epi64(v, g.shift);
+        __m256i hi = _mm256_srl_epi64(v, g.shiftHi);
+        num = _mm256_add_epi64(lo, g.halfQ);
+        hi = _mm256_add_epi64(
+            hi, _mm256_and_si256(cmpgtu64x4(lo, num), one));
+        // floor(num * floor(2^128/q) / 2^128), low word.
+        __m256i c_ll = mulhi64x4(num, g.bLo);
+        __m256i lh_hi, lh_lo;
+        mul64widex4(num, g.bHi, lh_hi, lh_lo);
+        __m256i hl_hi, hl_lo;
+        mul64widex4(hi, g.bLo, hl_hi, hl_lo);
+        __m256i s1 = _mm256_add_epi64(c_ll, lh_lo);
+        __m256i carry1 = _mm256_and_si256(cmpgtu64x4(c_ll, s1), one);
+        __m256i s2 = _mm256_add_epi64(s1, hl_lo);
+        __m256i carry2 = _mm256_and_si256(cmpgtu64x4(hl_lo, s2), one);
+        est = _mm256_add_epi64(
+            _mm256_add_epi64(mullo64x4(hi, g.bHi),
+                             _mm256_add_epi64(lh_hi, hl_hi)),
+            _mm256_add_epi64(carry1, carry2));
+    }
+    // One correction: the remainder is < 2q < 2^63 (signed compare).
+    __m256i r = _mm256_sub_epi64(num, mullo64x4(est, g.q));
+    __m256i lt = _mm256_cmpgt_epi64(g.q, r);
+    return _mm256_add_epi64(est, _mm256_andnot_si256(lt, one));
+}
+
+/** Balanced digit residues of four values into dst[l][x..x+4). */
+inline void
+decomposeStoreX4(u64 *const *dst, size_t x, __m256i v, const GadgetYmm &g)
+{
+    const __m256i one = bcast256(1);
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i y = gadgetQuotientX4(v, g);
+    __m256i carry = zero;
+    for (u32 l = g.levels; l-- > 0;) {
+        __m256i r = _mm256_add_epi64(_mm256_and_si256(y, g.mask), carry);
+        y = _mm256_srl_epi64(y, g.logB);
+        __m256i ge = _mm256_cmpgt_epi64(r, g.halfBm1);
+        __m256i d = _mm256_sub_epi64(r, _mm256_and_si256(ge, g.base));
+        __m256i res = _mm256_add_epi64(
+            d, _mm256_and_si256(_mm256_cmpgt_epi64(zero, d), g.q));
+        carry = _mm256_and_si256(ge, one);
+        storeu256(dst[l] + x, res);
+    }
+}
+
+void
+rotateDecomposeAvx2(u64 *const *dst, const u64 *src, u64 t,
+                    const Gadget &gadget, const Modulus &mod, size_t n)
+{
+    const GadgetYmm g(gadget);
+    forEachRotateRange(
+        src, t, n,
+        [&](size_t x0, size_t x1, const u64 *rot, bool neg, bool diff) {
+            size_t x = x0;
+            for (; x + 4 <= x1; x += 4) {
+                __m256i v = loadu256(src + x);
+                if (diff) {
+                    __m256i r = loadu256(rot + (x - x0));
+                    if (neg) {
+                        r = negmodx4(r, g.q);
+                    }
+                    v = submodx4(r, v, g.q);
+                }
+                decomposeStoreX4(dst, x, v, g);
+            }
+            rotateDecomposeSpanScalar(dst, src, x, x1, rot + (x - x0), neg,
+                                      diff, gadget, mod);
+        });
+}
+
+void
+extProdMacAvx2(u64 *dst, const u64 *const *a, const u64 *const *b,
+               size_t rows, const Modulus &mod, size_t n)
+{
+    const __m256i q = bcast256(mod.value());
+    const __m256i b_lo = bcast256(mod.barrettLo());
+    const __m256i b_hi = bcast256(mod.barrettHi());
+    const __m256i one = bcast256(1);
+    const __m256i zero = _mm256_setzero_si256();
+    // Operands below 2^32 (q <= 2^32, every TFHE set) multiply in one
+    // 32x32 -> 64 lane op; wider moduli take the full 64x64 product.
+    const bool narrow = mod.value() <= (u64(1) << 32);
+    size_t c = 0;
+    for (; c + 4 <= n; c += 4) {
+        __m256i r = zero;
+        size_t i = 0;
+        while (i < rows) {
+            size_t end = i + kBconvChunk < rows ? i + kBconvChunk : rows;
+            __m256i acc_lo = zero;
+            __m256i acc_hi = zero;
+            for (; i < end; ++i) {
+                __m256i x = loadu256(a[i] + c);
+                __m256i y = loadu256(b[i] + c);
+                __m256i z_hi = zero;
+                __m256i z_lo;
+                if (narrow) {
+                    z_lo = _mm256_mul_epu32(x, y);
+                } else {
+                    mul64widex4(x, y, z_hi, z_lo);
+                }
+                __m256i s = _mm256_add_epi64(acc_lo, z_lo);
+                __m256i carry =
+                    _mm256_and_si256(cmpgtu64x4(acc_lo, s), one);
+                acc_lo = s;
+                acc_hi = _mm256_add_epi64(acc_hi,
+                                          _mm256_add_epi64(z_hi, carry));
+            }
+            r = addmodx4(r, barrett128x4(acc_lo, acc_hi, q, b_lo, b_hi),
+                         q);
+        }
+        storeu256(dst + c, r);
+    }
+    extProdMacScalarFrom(dst, a, b, rows, mod, c, n);
+}
+
+void
+lweKsAccumulateAvx2(i64 *acc, size_t acc_stride, const i8 *digits,
+                    size_t count, const u64 *row, size_t n)
+{
+    for (size_t c = 0; c < count; ++c) {
+        i64 d = digits[c];
+        if (d == 0) {
+            continue;
+        }
+        i64 *out = acc + c * acc_stride;
+        // |d| * row as two 32x32 partials (exact: the caller bounds
+        // every product below 2^63), then add or subtract by sign.
+        const __m256i ad = bcast256(static_cast<u64>(d < 0 ? -d : d));
+        size_t x = 0;
+        for (; x + 4 <= n; x += 4) {
+            __m256i rv = loadu256(row + x);
+            __m256i p = _mm256_add_epi64(
+                _mm256_mul_epu32(rv, ad),
+                _mm256_slli_epi64(
+                    _mm256_mul_epu32(_mm256_srli_epi64(rv, 32), ad), 32));
+            __m256i av = loadu256(reinterpret_cast<const u64 *>(out + x));
+            av = d > 0 ? _mm256_add_epi64(av, p) : _mm256_sub_epi64(av, p);
+            storeu256(reinterpret_cast<u64 *>(out + x), av);
+        }
+        lweKsAccumulateScalarFrom(out, d, row, x, n);
+    }
+}
+
 } // namespace
 
 const KernelSet *
@@ -372,7 +552,8 @@ avx2KernelsOrNull()
         negAvx2,              mulAvx2,
         mulAddAvx2,           scalarMulAvx2,
         automorphismAvx2,     bconvPass1Avx2,
-        bconvPass2Avx2,
+        bconvPass2Avx2,       rotateDecomposeAvx2,
+        extProdMacAvx2,       lweKsAccumulateAvx2,
     };
     return &set;
 }

@@ -26,6 +26,7 @@
 #endif
 
 #include "backend/simd_avx_inl.h"
+#include "backend/simd_pbs_inl.h"
 #include "poly/ntt.h"
 
 namespace trinity {
@@ -616,6 +617,178 @@ bconvPass2Avx512(u64 *y, const u64 *v, size_t v_stride, size_t k,
     }
 }
 
+/** Broadcast gadget constants for the 8-lane decomposition. */
+struct GadgetZmm
+{
+    __m512i q, halfQ, recip, bLo, bHi, mask, halfB, base;
+    __m128i shift, shiftHi, logB;
+    u32 levels;
+    bool wide;
+
+    explicit GadgetZmm(const Gadget &g)
+        : q(bcast512(g.q())), halfQ(bcast512(g.halfQ())),
+          recip(bcast512(g.recip())), bLo(bcast512(g.barrettLo())),
+          bHi(bcast512(g.barrettHi())),
+          mask(bcast512((u64(1) << g.logBase()) - 1)),
+          halfB(bcast512(u64(1) << (g.logBase() - 1))),
+          base(bcast512(u64(1) << g.logBase())),
+          shift(_mm_cvtsi32_si128(static_cast<int>(g.shift()))),
+          shiftHi(_mm_cvtsi32_si128(static_cast<int>(64 - g.shift()))),
+          logB(_mm_cvtsi32_si128(static_cast<int>(g.logBase()))),
+          levels(g.levels()), wide(g.wide())
+    {
+    }
+};
+
+/** Gadget::quotient per lane: round(v * 2^S / q) mod 2^64. */
+inline __m512i
+gadgetQuotientX8(__m512i v, const GadgetZmm &g)
+{
+    const __m512i one = bcast512(1);
+    __m512i num;
+    __m512i est;
+    if (!g.wide) {
+        num = _mm512_add_epi64(_mm512_sll_epi64(v, g.shift), g.halfQ);
+        est = mulhi64x8(num, g.recip);
+    } else {
+        // 128-bit numerator (hi, num); S == 64 shifts lo out entirely.
+        __m512i lo = _mm512_sll_epi64(v, g.shift);
+        __m512i hi = _mm512_srl_epi64(v, g.shiftHi);
+        num = _mm512_add_epi64(lo, g.halfQ);
+        hi = _mm512_mask_add_epi64(hi, _mm512_cmplt_epu64_mask(num, lo),
+                                   hi, one);
+        // floor(num * floor(2^128/q) / 2^128), low word.
+        __m512i c_ll = mulhi64x8(num, g.bLo);
+        __m512i lh_lo = _mm512_mullo_epi64(num, g.bHi);
+        __m512i lh_hi = mulhi64x8(num, g.bHi);
+        __m512i hl_lo = _mm512_mullo_epi64(hi, g.bLo);
+        __m512i hl_hi = mulhi64x8(hi, g.bLo);
+        __m512i s1 = _mm512_add_epi64(c_ll, lh_lo);
+        __mmask8 carry1 = _mm512_cmplt_epu64_mask(s1, c_ll);
+        __m512i s2 = _mm512_add_epi64(s1, hl_lo);
+        __mmask8 carry2 = _mm512_cmplt_epu64_mask(s2, hl_lo);
+        est = _mm512_add_epi64(_mm512_mullo_epi64(hi, g.bHi),
+                               _mm512_add_epi64(lh_hi, hl_hi));
+        est = _mm512_mask_add_epi64(est, carry1, est, one);
+        est = _mm512_mask_add_epi64(est, carry2, est, one);
+    }
+    // One correction: the remainder is < 2q.
+    __m512i r = _mm512_sub_epi64(num, _mm512_mullo_epi64(est, g.q));
+    return _mm512_mask_add_epi64(est, _mm512_cmpge_epu64_mask(r, g.q),
+                                 est, one);
+}
+
+/** Balanced digit residues of eight values into dst[l][x..x+8). */
+inline void
+decomposeStoreX8(u64 *const *dst, size_t x, __m512i v, const GadgetZmm &g)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    __m512i y = gadgetQuotientX8(v, g);
+    __mmask8 carry = 0;
+    for (u32 l = g.levels; l-- > 0;) {
+        __m512i r = _mm512_and_si512(y, g.mask);
+        r = _mm512_mask_add_epi64(r, carry, r, bcast512(1));
+        y = _mm512_srl_epi64(y, g.logB);
+        carry = _mm512_cmpge_epu64_mask(r, g.halfB);
+        // Digit d = r - B when carrying (0 when r == B); a negative
+        // digit's residue is q + d.
+        __m512i d = _mm512_mask_sub_epi64(r, carry, r, g.base);
+        __mmask8 neg = _mm512_cmplt_epi64_mask(d, zero);
+        storeu512(dst[l] + x, _mm512_mask_add_epi64(d, neg, d, g.q));
+    }
+}
+
+void
+rotateDecomposeAvx512(u64 *const *dst, const u64 *src, u64 t,
+                      const Gadget &gadget, const Modulus &mod, size_t n)
+{
+    const GadgetZmm g(gadget);
+    forEachRotateRange(
+        src, t, n,
+        [&](size_t x0, size_t x1, const u64 *rot, bool neg, bool diff) {
+            size_t x = x0;
+            for (; x + 8 <= x1; x += 8) {
+                __m512i v = loadu512(src + x);
+                if (diff) {
+                    __m512i r = loadu512(rot + (x - x0));
+                    if (neg) {
+                        r = negmodx8(r, g.q);
+                    }
+                    v = submodx8(r, v, g.q);
+                }
+                decomposeStoreX8(dst, x, v, g);
+            }
+            rotateDecomposeSpanScalar(dst, src, x, x1, rot + (x - x0), neg,
+                                      diff, gadget, mod);
+        });
+}
+
+void
+extProdMacAvx512(u64 *dst, const u64 *const *a, const u64 *const *b,
+                 size_t rows, const Modulus &mod, size_t n)
+{
+    const __m512i q = bcast512(mod.value());
+    const __m512i b_lo = bcast512(mod.barrettLo());
+    const __m512i b_hi = bcast512(mod.barrettHi());
+    const __m512i one = bcast512(1);
+    const __m512i zero = _mm512_setzero_si512();
+    // Operands below 2^32 (q <= 2^32, every TFHE set) multiply in one
+    // 32x32 -> 64 lane op; wider moduli take the full 64x64 product.
+    const bool narrow = mod.value() <= (u64(1) << 32);
+    size_t c = 0;
+    for (; c + 8 <= n; c += 8) {
+        __m512i r = zero;
+        size_t i = 0;
+        while (i < rows) {
+            size_t end = i + kBconvChunk < rows ? i + kBconvChunk : rows;
+            __m512i acc_lo = zero;
+            __m512i acc_hi = zero;
+            for (; i < end; ++i) {
+                __m512i x = loadu512(a[i] + c);
+                __m512i y = loadu512(b[i] + c);
+                __m512i z_lo;
+                if (narrow) {
+                    z_lo = _mm512_mul_epu32(x, y);
+                } else {
+                    z_lo = _mm512_mullo_epi64(x, y);
+                    acc_hi = _mm512_add_epi64(acc_hi, mulhi64x8(x, y));
+                }
+                __m512i s = _mm512_add_epi64(acc_lo, z_lo);
+                __mmask8 carry = _mm512_cmplt_epu64_mask(s, acc_lo);
+                acc_lo = s;
+                acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi, one);
+            }
+            r = addmodx8(r, barrett128x8(acc_lo, acc_hi, q, b_lo, b_hi),
+                         q);
+        }
+        storeu512(dst + c, r);
+    }
+    extProdMacScalarFrom(dst, a, b, rows, mod, c, n);
+}
+
+void
+lweKsAccumulateAvx512(i64 *acc, size_t acc_stride, const i8 *digits,
+                      size_t count, const u64 *row, size_t n)
+{
+    for (size_t c = 0; c < count; ++c) {
+        i64 d = digits[c];
+        if (d == 0) {
+            continue;
+        }
+        i64 *out = acc + c * acc_stride;
+        // DQ's 64-bit mullo is the low word of the signed product —
+        // exact, since the caller bounds every product below 2^63.
+        const __m512i dv = bcast512(static_cast<u64>(d));
+        size_t x = 0;
+        for (; x + 8 <= n; x += 8) {
+            __m512i p = _mm512_mullo_epi64(loadu512(row + x), dv);
+            _mm512_storeu_si512(
+                out + x, _mm512_add_epi64(_mm512_loadu_si512(out + x), p));
+        }
+        lweKsAccumulateScalarFrom(out, d, row, x, n);
+    }
+}
+
 } // namespace
 
 const KernelSet *
@@ -630,7 +803,8 @@ avx512KernelsOrNull()
         negAvx512,              mulAvx512,
         mulAddAvx512,           scalarMulAvx512,
         automorphismAvx512,     bconvPass1Avx512,
-        bconvPass2Avx512,
+        bconvPass2Avx512,       rotateDecomposeAvx512,
+        extProdMacAvx512,       lweKsAccumulateAvx512,
     };
     return &set;
 }

@@ -523,6 +523,10 @@ ThreadPoolBackend::parallelFor(size_t count,
         }
         return;
     }
+    // Only external callers get here (pool jobs run nested batches
+    // inline above), and a batch never waits on another external
+    // caller, so serializing on dispatch_ cannot deadlock.
+    std::lock_guard<std::mutex> dispatch(dispatch_);
     {
         std::lock_guard<std::mutex> lock(mtx_);
         fn_ = &fn;

@@ -89,6 +89,11 @@ class ThreadPoolBackend final : public PolyBackend
 
     std::vector<std::thread> workers_;
 
+    /** Held by an external (non-pool) caller for its whole batch: the
+     *  batch state below is one-at-a-time, so concurrent submitters
+     *  (server shards, concurrent key materializations) queue here
+     *  instead of overwriting each other's in-flight batch. */
+    std::mutex dispatch_;
     std::mutex mtx_;
     std::condition_variable wake_;
     std::condition_variable done_;

@@ -220,9 +220,11 @@ writeTrace()
         return false;
     }
 
-    // Dense pids per track string; earliest wall timestamp becomes the
-    // trace origin so timelines start near zero.
-    std::unordered_map<const char *, u32> pid_of;
+    // Dense pids per track *value* (two emitters with equal track text
+    // share one row, whatever storage their pointers name); earliest
+    // wall timestamp becomes the trace origin so timelines start near
+    // zero.
+    std::unordered_map<std::string, u32> pid_of;
     auto pidOf = [&](const char *track) -> u32 {
         auto it = pid_of.find(track);
         if (it != pid_of.end()) {
@@ -261,7 +263,7 @@ writeTrace()
     for (auto &[pid, track] : [&] {
              std::vector<std::pair<u32, const char *>> v;
              for (auto &[t, p] : pid_of) {
-                 v.emplace_back(p, t);
+                 v.emplace_back(p, t.c_str());
              }
              return v;
          }()) {

@@ -1,50 +1,21 @@
 /**
  * @file
- * Standalone signed gadget decomposition over a prime modulus.
- *
- * TfheContext carries one gadget (the external-product base Bg); the
- * PIR expansion needs a second, finer one for its Galois keyswitch.
- * This is the same balanced base-B decomposition the context uses —
- * y = round(x * B^levels / q), balanced digits with a carry wrap — as
- * a reusable component parameterized on (q, logB, levels).
+ * PIR's gadgets — the external-product gadget the fold and CMux tree
+ * decompose with, and the finer full-width one of the Galois keyswitch
+ * — are instances of the repo's one signed gadget decomposition,
+ * trinity::Gadget (common/gadget.h), parameterized on (q, logB,
+ * levels).
  */
 
 #ifndef TRINITY_PIR_GADGET_H
 #define TRINITY_PIR_GADGET_H
 
-#include <vector>
-
-#include "common/modarith.h"
-#include "common/types.h"
+#include "common/gadget.h"
 
 namespace trinity {
 namespace pir {
 
-/** Gadget vector g_l = round(q / B^(l+1)) with its decomposition. */
-class Gadget
-{
-  public:
-    Gadget(u64 q, u32 log_b, u32 levels);
-
-    u32 levels() const { return levels_; }
-    u32 logBase() const { return log_b_; }
-    u64 element(u32 l) const { return g_[l]; }
-
-    /**
-     * Signed decomposition of a residue x into digits d_l in
-     * [-B/2, B/2) so that sum d_l * g_l ~ x. Full-width gadgets
-     * (logB * levels covering all of q) leave only the per-level
-     * rounding of the prime; truncated gadgets additionally carry a
-     * q / B^levels approximation term.
-     */
-    void decompose(u64 x, i64 *digits) const;
-
-  private:
-    u64 q_;
-    u32 log_b_;
-    u32 levels_;
-    std::vector<u64> g_;
-};
+using Gadget = trinity::Gadget;
 
 } // namespace pir
 } // namespace trinity

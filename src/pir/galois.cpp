@@ -76,10 +76,11 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
     size_t comps = k + 1;
     u32 levels = key.levels;
     size_t rows = k * levels;
-    trinity_assert(rows <= 16 && p.q < (1ULL << 61),
+    trinity_assert(rows <= 16,
                    "applyGaloisBatch: unsupported keyswitch shape");
     trinity_assert(key.rows.size() == rows, "GaloisKey shape mismatch");
     PolyBackend &backend = activeBackend();
+    const simd::KernelSet &ks = backend.kernels();
     Gadget gadget(p.q, key.logB, levels);
 
     // (1) sigma_g of every component of every ciphertext, one batch.
@@ -108,15 +109,12 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
     backend.run(count * k, [&](size_t idx) {
         size_t c = idx / k;
         size_t j = idx % k;
-        const Poly &src = sigma[c].a[j];
-        i64 digits[16]; // levels <= rows <= 16, asserted above
-        for (size_t i = 0; i < n; ++i) {
-            gadget.decompose(src[i], digits);
-            for (u32 l = 0; l < levels; ++l) {
-                dig[c * rows + j * levels + l][i] =
-                    toResidue(digits[l], p.q);
-            }
+        u64 *dst[16]; // levels <= rows <= 16, asserted above
+        for (u32 l = 0; l < levels; ++l) {
+            dst[l] = dig[c * rows + j * levels + l].coeffs().data();
         }
+        ks.rotateDecompose(dst, sigma[c].a[j].coeffs().data(), 0, gadget,
+                           mod, n);
     });
 
     // (3) Forward NTT of every digit limb, one batch.
@@ -128,9 +126,9 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
     }
     backend.nttForwardBatch(fwd.data(), fwd.size());
 
-    // (4) Keyswitch MACs with lazy u128 accumulation (rows <= 16 and
-    // q < 2^61, so the unreduced sum cannot overflow): T_c = sum_{j,l}
-    // dec_{j,l} (*) ksk_{j,l}.comp_c, written into out's components.
+    // (4) Keyswitch MACs with lazy u128 accumulation
+    // (KernelSet::extProdMac): T_c = sum_{j,l} dec_{j,l} (*)
+    // ksk_{j,l}.comp_c, written into out's components.
     for (size_t c = 0; c < count; ++c) {
         out[c] = ctx.glweTrivial(Poly(n, p.q));
         for (size_t j = 0; j < comps; ++j) {
@@ -147,14 +145,8 @@ applyGaloisBatch(const TfheContext &ctx, const GaloisKey &key,
             dec_ptr[r] = dig[c * rows + r].coeffs().data();
             key_ptr[r] = glweComp(key.rows[r], j).coeffs().data();
         }
-        u64 *dst = glweComp(out[c], j).coeffs().data();
-        for (size_t i = 0; i < n; ++i) {
-            u128 acc = 0;
-            for (size_t r = 0; r < rows; ++r) {
-                acc += static_cast<u128>(dec_ptr[r][i]) * key_ptr[r][i];
-            }
-            dst[i] = mod.reduce128(acc);
-        }
+        ks.extProdMac(glweComp(out[c], j).coeffs().data(), dec_ptr,
+                      key_ptr, rows, mod, n);
     });
 
     // (5) Inverse NTT of the accumulated T components, one batch.

@@ -241,24 +241,23 @@ PirEngine::fold(const ResidentPirDb &db,
     // (1) Per selection entry: gadget decomposition, then the forward
     // NTTs of its digit limbs — an independent two-command chain per
     // row, so chunk MACs start as soon as *their* rows are ready.
+    const simd::KernelSet *ks = &activeBackend().kernels();
     std::vector<Job> row_ready(dim1);
     for (size_t r = 0; r < dim1; ++r) {
         const GlweCiphertext *sel = &expanded[r];
         Job dec = stream->task(
             comps,
-            [this, sel, r, &dig, n, lb, rows](size_t c) {
+            [this, ks, sel, r, &dig, n, lb, rows](size_t c) {
                 const Poly &src = glweComp(*sel, c);
                 trinity_assert(src.domain() == Domain::Coeff,
                                "fold input must be in coefficient "
                                "domain");
-                i64 digits[16]; // lb <= 16 via extRows() <= 16
-                for (size_t i = 0; i < n; ++i) {
-                    ctx_->decomposeScalar(src[i], digits);
-                    for (u32 l = 0; l < lb; ++l) {
-                        dig[r * rows + c * lb + l][i] =
-                            toResidue(digits[l], ctx_->q());
-                    }
+                u64 *dst[16]; // lb <= 16 via extRows() <= 16
+                for (u32 l = 0; l < lb; ++l) {
+                    dst[l] = dig[r * rows + c * lb + l].coeffs().data();
                 }
+                ks->rotateDecompose(dst, src.coeffs().data(), 0,
+                                    ctx_->extGadget(), ctx_->modulus(), n);
             },
             {},
             {{sim::KernelType::Decomp, comps * n, n,

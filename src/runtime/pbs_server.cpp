@@ -162,11 +162,45 @@ PbsServer::submit(TenantId t, LweCiphertext ct, const Poly &tv)
     return enqueue(std::move(p));
 }
 
+namespace {
+
+/** Why @p ct / @p tv cannot run under @p params ("" when they can). */
+std::string
+malformedReason(const TfheParams &params, const LweCiphertext &ct,
+                const Poly *tv)
+{
+    if (ct.a.size() != params.nLwe) {
+        return "LWE dimension " + std::to_string(ct.a.size()) +
+               " != n_lwe " + std::to_string(params.nLwe);
+    }
+    for (u64 x : ct.a) {
+        if (x >= params.q) {
+            return "LWE mask coefficient not reduced mod q";
+        }
+    }
+    if (ct.b >= params.q) {
+        return "LWE body not reduced mod q";
+    }
+    if (tv != nullptr && (tv->n() != params.bigN || tv->q() != params.q)) {
+        return "test vector is not in the server's GLWE ring";
+    }
+    return "";
+}
+
+} // namespace
+
 std::future<LweCiphertext>
 PbsServer::enqueue(Pending p)
 {
     p.enqueuedNs = obs::detail::nowNs();
     std::future<LweCiphertext> result = p.result.get_future();
+    std::string invalid = malformedReason(
+        gb_ != nullptr ? gb_->params() : ctx_->params(), p.ct, p.tv);
+    if (!invalid.empty()) {
+        p.result.set_exception(std::make_exception_ptr(
+            InvalidRequest("invalid PBS request: " + invalid)));
+        return result;
+    }
     bool rejected = false;
     {
         std::lock_guard<std::mutex> lk(mtx_);
@@ -249,7 +283,8 @@ PbsServer::executeGroup(std::vector<Pending> &work, size_t begin,
     }
     std::vector<LweCiphertext> out;
     {
-        obs::TraceSpan span("pbsBatch", "runtime", opts_.label.c_str(),
+        obs::TraceSpan span("pbsBatch", "runtime",
+                            obs::internTraceStr(opts_.label),
                             "requests", count);
         out = runPbsBatchChunked(*boot, batch, *bsk, *ksk,
                                  activeBackend().preferredBatch());

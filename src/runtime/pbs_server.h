@@ -39,6 +39,8 @@
  *                                DeadlineExceeded instead of executed
  *                                late (0 = none)
  *
+ * Malformed requests (wrong LWE dimension, a coefficient >= q, a test
+ * vector off the ring) resolve with InvalidRequest at submit.
  * Rejected/shed requests resolve their future with the corresponding
  * exception — the client always gets an answer, never a hang, and an
  * overloaded server degrades by shedding load instead of queueing
@@ -83,6 +85,14 @@ class AdmissionRejected : public RequestRejected
 
 /** The request waited past the deadline budget and was shed. */
 class DeadlineExceeded : public RequestRejected
+{
+    using RequestRejected::RequestRejected;
+};
+
+/** The request is malformed for the server's parameters (LWE
+ *  dimension, unreduced coefficients, test-vector ring); rejected at
+ *  submit so it never reaches the shared batch. */
+class InvalidRequest : public RequestRejected
 {
     using RequestRejected::RequestRejected;
 };

@@ -154,7 +154,8 @@ PirServer::executeGroup(std::vector<Pending> &work, size_t begin,
     std::vector<pir::PirResponse> out;
     out.reserve(count);
     {
-        obs::TraceSpan span("pirBatch", "runtime", opts_.label.c_str(),
+        obs::TraceSpan span("pirBatch", "runtime",
+                            obs::internTraceStr(opts_.label),
                             "requests", count);
         for (size_t i = begin; i < end; ++i) {
             out.push_back(engine_.answer(*db, *keys, work[i].query));

@@ -16,20 +16,15 @@ GlweSecretKey::extractLweKey() const
     return out;
 }
 
+// g_l = round(q / Bg^(l+1)); q is prime so these are approximate
+// gadget elements — the rounding is absorbed as decomposition noise
+// (Joye-Walter "Liberating TFHE").
 TfheContext::TfheContext(const TfheParams &params, u64 seed)
-    : params_(params), mod_(params.q), rng_(seed)
+    : params_(params), mod_(params.q), rng_(seed),
+      gadget_(params.q, params.logBg, params.lb)
 {
     trinity_assert(params.q != 0, "TfheParams.q not initialized");
     table_ = NttTableCache::get(params.bigN, params.q);
-    gadget_.resize(params.lb);
-    // g_l = round(q / Bg^(l+1)); q is prime so these are approximate
-    // gadget elements — the rounding is absorbed as decomposition
-    // noise (Joye-Walter "Liberating TFHE").
-    for (u32 l = 0; l < params.lb; ++l) {
-        u128 denom = u128(1) << (params.logBg * (l + 1));
-        gadget_[l] = static_cast<u64>((u128(params.q) + denom / 2) /
-                                      denom);
-    }
 }
 
 LweSecretKey
@@ -171,7 +166,7 @@ TfheContext::ggswEncrypt(i64 mu, const GlweSecretKey &sk, double sigma)
     for (size_t j = 0; j <= params_.k; ++j) {
         for (u32 l = 0; l < params_.lb; ++l) {
             GlweCiphertext row = glweEncrypt(zero, sk, sigma);
-            u64 term = mod_.mul(toResidue(mu, params_.q), gadget_[l]);
+            u64 term = mod_.mul(toResidue(mu, params_.q), gadget_.element(l));
             if (j < params_.k) {
                 row.a[j][0] = mod_.add(row.a[j][0], term);
             } else {
@@ -197,7 +192,7 @@ TfheContext::ggswEncryptPoly(const Poly &mu, const GlweSecretKey &sk,
         for (u32 l = 0; l < params_.lb; ++l) {
             GlweCiphertext row = glweEncrypt(zero, sk, sigma);
             Poly term = mu;
-            term.scalarMulInPlace(gadget_[l]);
+            term.scalarMulInPlace(gadget_.element(l));
             if (j < params_.k) {
                 row.a[j].addInPlace(term);
             } else {
@@ -257,32 +252,6 @@ TfheContext::ggswToEval(GgswCiphertext &ggsw) const
     ggsw.inEval = true;
 }
 
-void
-TfheContext::decomposeScalar(u64 x, i64 *digits) const
-{
-    u32 lb = params_.lb;
-    u32 log_bg = params_.logBg;
-    u64 bg = 1ULL << log_bg;
-    u64 half_bg = bg >> 1;
-    // y = round(x * Bg^lb / q) in [0, Bg^lb]
-    u128 scale = u128(1) << (log_bg * lb);
-    u128 y = (u128(x) * scale + params_.q / 2) / params_.q;
-    // Balanced base-Bg digits, least significant first; final carry
-    // wraps modulo Bg^lb (equivalent to subtracting q).
-    u64 carry = 0;
-    for (u32 l = lb; l-- > 0;) {
-        u64 r = static_cast<u64>(y & (bg - 1)) + carry;
-        y >>= log_bg;
-        if (r >= half_bg) {
-            digits[l] = static_cast<i64>(r) - static_cast<i64>(bg);
-            carry = 1;
-        } else {
-            digits[l] = static_cast<i64>(r);
-            carry = 0;
-        }
-    }
-}
-
 std::vector<Poly>
 TfheContext::decompose(const GlweCiphertext &ct) const
 {
@@ -296,17 +265,18 @@ TfheContext::decompose(const GlweCiphertext &ct) const
         }
     }
     emitKernel(sim::KernelType::Decomp, (params_.k + 1) * n, n);
-    activeBackend().run(params_.k + 1, [&](size_t j) {
+    PolyBackend &backend = activeBackend();
+    const simd::KernelSet &ks = backend.kernels();
+    backend.run(params_.k + 1, [&](size_t j) {
         const Poly &src = j < params_.k ? ct.a[j] : ct.b;
         trinity_assert(src.domain() == Domain::Coeff,
                        "decompose needs coefficient domain");
-        std::vector<i64> digits(lb);
-        for (size_t i = 0; i < n; ++i) {
-            decomposeScalar(src[i], digits.data());
-            for (u32 l = 0; l < lb; ++l) {
-                out[j * lb + l][i] = toResidue(digits[l], params_.q);
-            }
+        std::vector<u64 *> dst(lb);
+        for (u32 l = 0; l < lb; ++l) {
+            dst[l] = out[j * lb + l].coeffs().data();
         }
+        ks.rotateDecompose(dst.data(), src.coeffs().data(), 0, gadget_,
+                           mod_, n);
     });
     return out;
 }
@@ -333,15 +303,19 @@ TfheContext::externalProduct(const GgswCiphertext &ggsw,
     size_t n = params_.bigN;
     emitKernel(sim::KernelType::Ip,
                static_cast<u64>(dec.size()) * (params_.k + 1) * n, n);
-    activeBackend().run(params_.k + 1, [&](size_t j) {
+    PolyBackend &backend = activeBackend();
+    const simd::KernelSet &ks = backend.kernels();
+    backend.run(params_.k + 1, [&](size_t j) {
         Poly &dst = j < params_.k ? acc.a[j] : acc.b;
+        std::vector<const u64 *> lhs(dec.size());
+        std::vector<const u64 *> rhs(dec.size());
         for (size_t t = 0; t < dec.size(); ++t) {
             const GlweCiphertext &row = ggsw.rows[t];
-            const Poly &rhs = j < params_.k ? row.a[j] : row.b;
-            for (size_t c = 0; c < n; ++c) {
-                dst[c] = mod_.mulAdd(dec[t][c], rhs[c], dst[c]);
-            }
+            lhs[t] = dec[t].coeffs().data();
+            rhs[t] = (j < params_.k ? row.a[j] : row.b).coeffs().data();
         }
+        ks.extProdMac(dst.coeffs().data(), lhs.data(), rhs.data(),
+                      dec.size(), mod_, n);
     });
     // Inverse NTTs (Algorithm 2 line 11).
     std::vector<NttJob> jobs;
@@ -411,10 +385,11 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
     size_t rows = params_.extRows();
     u64 two_n = 2 * n;
     u32 lb = params_.lb;
-    // Bounds the fixed-size digit/pointer arrays below and guarantees
-    // the lazy MAC accumulation cannot overflow 128 bits.
-    trinity_assert(rows <= 16 && params_.q < (1ULL << 61),
-                   "cmuxRotateBatch: unsupported gadget shape");
+    // Bounds the fixed-size digit/pointer arrays below.
+    trinity_assert(rows <= 16, "cmuxRotateBatch: unsupported gadget shape");
+    // Kernels are fixed at record time, from the engine that will run
+    // the stream.
+    const simd::KernelSet *ks = &activeBackend().kernels();
 
     // A zero rotation is a no-op CMux (the sequential path skips it);
     // record the step over the active requests only.
@@ -465,23 +440,17 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
         // slot's scratch region).
         Job dec = stream.task(
             comps,
-            [this, accs, j, t, &sc, n, two_n, rows, lb](size_t c) {
+            [this, ks, accs, j, t, &sc, n, rows, lb](size_t c) {
                 const Poly &src = glweComp(accs[j], c);
                 trinity_assert(src.domain() == Domain::Coeff,
                                "blind-rotation accumulator must be in "
                                "coefficient domain");
-                const u64 *s = src.coeffs().data();
-                i64 digits[16]; // lb <= rows <= 16, asserted above
-                for (size_t x = 0; x < n; ++x) {
-                    // Negacyclic gather of (acc * X^t)[x].
-                    size_t i0 = (x + two_n - t) % two_n;
-                    u64 rot = i0 < n ? s[i0] : mod_.neg(s[i0 - n]);
-                    decomposeScalar(mod_.sub(rot, s[x]), digits);
-                    for (u32 l = 0; l < lb; ++l) {
-                        sc.dec[j * rows + c * lb + l][x] =
-                            toResidue(digits[l], params_.q);
-                    }
+                u64 *dst[16]; // lb <= rows <= 16, asserted above
+                for (u32 l = 0; l < lb; ++l) {
+                    dst[l] = sc.dec[j * rows + c * lb + l].coeffs().data();
                 }
+                ks->rotateDecompose(dst, src.coeffs().data(), t, gadget_,
+                                    mod_, n);
             },
             {sc.lastJob[j]},
             {{sim::KernelType::Rotate, comps * n, n, 16 * comps * n},
@@ -499,20 +468,17 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
         Job ntt = stream.nttForward(std::move(fwd), {dec});
 
         // (4) External-product MACs against the shared GGSW rows,
-        // with lazy reduction: each output coefficient accumulates
-        // its rows' products in 128 bits and reduces once, replacing
-        // `rows` Barrett reductions per coefficient with one. Exact —
-        // rows * (q-1)^2 never overflows (asserted above) and
-        // reduce128 handles any 128-bit input — so the reduced sum is
-        // bit-identical to the sequential mulAdd chain of
-        // externalProduct().
+        // with lazy reduction (KernelSet::extProdMac): each output
+        // coefficient accumulates its rows' products in 128 bits and
+        // reduces once, replacing `rows` Barrett reductions per
+        // coefficient with one — an exact fold, so the sum is
+        // bit-identical to a sequential mulAdd chain.
         for (size_t c = 0; c < comps; ++c) {
             glweComp(sc.prod[j], c).setDomain(Domain::Eval);
         }
         Job mac = stream.task(
             comps,
-            [this, &ggsw, j, &sc, n, rows](size_t c) {
-                Poly &dst = glweComp(sc.prod[j], c);
+            [this, ks, &ggsw, j, &sc, n, rows](size_t c) {
                 const u64 *dec_ptr[16];
                 const u64 *rhs_ptr[16];
                 for (size_t r = 0; r < rows; ++r) {
@@ -520,15 +486,8 @@ TfheContext::recordCmuxRotateBatch(CommandStream &stream,
                     rhs_ptr[r] =
                         glweComp(ggsw.rows[r], c).coeffs().data();
                 }
-                u64 *out = dst.coeffs().data();
-                for (size_t i = 0; i < n; ++i) {
-                    u128 acc = 0;
-                    for (size_t r = 0; r < rows; ++r) {
-                        acc += static_cast<u128>(dec_ptr[r][i]) *
-                               rhs_ptr[r][i];
-                    }
-                    out[i] = mod_.reduce128(acc);
-                }
+                ks->extProdMac(glweComp(sc.prod[j], c).coeffs().data(),
+                               dec_ptr, rhs_ptr, rows, mod_, n);
             },
             {ntt},
             {{sim::KernelType::Ip,

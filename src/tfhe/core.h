@@ -12,6 +12,7 @@
 
 #include "backend/command_stream.h"
 #include "backend/poly_backend.h"
+#include "common/gadget.h"
 #include "common/rng.h"
 #include "poly/poly.h"
 #include "tfhe/params.h"
@@ -121,13 +122,19 @@ class TfheContext
      * Signed gadget decomposition of a residue x into lb digits
      * d_l in [-Bg/2, Bg/2), so x ~ sum d_l * g_l.
      */
-    void decomposeScalar(u64 x, i64 *digits) const;
+    void decomposeScalar(u64 x, i64 *digits) const
+    {
+        gadget_.decompose(x, digits);
+    }
 
     /** Decompose every coefficient of a GLWE into (k+1)*lb polys. */
     std::vector<Poly> decompose(const GlweCiphertext &ct) const;
 
     /** Gadget element g_l = round(q / Bg^(l+1)). */
-    u64 gadget(u32 level) const { return gadget_[level]; }
+    u64 gadget(u32 level) const { return gadget_.element(level); }
+
+    /** The external-product gadget (q, logBg, lb). */
+    const Gadget &extGadget() const { return gadget_; }
 
     /**
      * External Product: GGSW (x) GLWE via (k+1)*lb forward NTTs, MAC
@@ -209,7 +216,7 @@ class TfheContext
     TfheParams params_;
     Modulus mod_;
     Rng rng_;
-    std::vector<u64> gadget_; ///< g_0..g_{lb-1}
+    Gadget gadget_; ///< external-product gadget (q, logBg, lb)
     std::shared_ptr<const NttTable> table_;
 
     Poly noisePoly(double sigma);

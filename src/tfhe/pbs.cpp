@@ -1,5 +1,6 @@
 #include "tfhe/pbs.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "backend/observer.h"
@@ -40,14 +41,11 @@ TfheBootstrapper::makeKeySwitchKey(const GlweSecretKey &from,
     ksk.logB = p.logBks;
     ksk.levels = p.lk;
     ksk.rows.resize(wide.s.size());
-    const Modulus &m = ctx_->modulus();
+    Gadget gadget(p.q, p.logBks, p.lk);
     for (size_t i = 0; i < wide.s.size(); ++i) {
         ksk.rows[i].reserve(p.lk);
         for (u32 j = 0; j < p.lk; ++j) {
-            u128 denom = u128(1) << (p.logBks * (j + 1));
-            u64 g = static_cast<u64>((u128(p.q) + denom / 2) / denom);
-            u64 msg = wide.s[i] ? g : 0;
-            (void)m;
+            u64 msg = wide.s[i] ? gadget.element(j) : 0;
             ksk.rows[i].push_back(ctx_->lweEncrypt(msg, to));
         }
     }
@@ -129,55 +127,108 @@ TfheBootstrapper::sampleExtract(const GlweCiphertext &acc,
 }
 
 u64
-TfheBootstrapper::keySwitchInto(const LweCiphertext &wide,
-                                const TfheKeySwitchKey &ksk,
-                                LweCiphertext &out) const
+TfheBootstrapper::keySwitchLockstep(const LweCiphertext *wides,
+                                    size_t count,
+                                    const TfheKeySwitchKey &ksk,
+                                    LweCiphertext *outs) const
 {
     const auto &p = ctx_->params();
     const Modulus &m = ctx_->modulus();
-    trinity_assert(wide.a.size() == ksk.rows.size(),
-                   "ksk dimension mismatch");
-    out.a.assign(p.nLwe, 0);
-    out.b = wide.b;
-    // c'' = (0,...,0,b') - sum_i sum_j d_ij * ksk[i][j]
+    size_t rows = ksk.rows.size();
     u32 lk = ksk.levels;
-    u32 log_b = ksk.logB;
-    u64 base = 1ULL << log_b;
-    u64 half = base >> 1;
-    u64 mac_lanes = 0;
-    std::vector<i64> digits(lk);
-    for (size_t i = 0; i < wide.a.size(); ++i) {
-        u64 x = wide.a[i];
-        if (x == 0) {
-            continue;
-        }
-        // Balanced base-B decomposition of x (lk levels).
-        u128 scale = u128(1) << (log_b * lk);
-        u128 y = (u128(x) * scale + p.q / 2) / p.q;
-        u64 carry = 0;
-        for (u32 l = lk; l-- > 0;) {
-            u64 r = static_cast<u64>(y & (base - 1)) + carry;
-            y >>= log_b;
-            if (r >= half) {
-                digits[l] = static_cast<i64>(r) - static_cast<i64>(base);
-                carry = 1;
-            } else {
-                digits[l] = static_cast<i64>(r);
-                carry = 0;
-            }
-        }
-        for (u32 j = 0; j < lk; ++j) {
-            if (digits[j] == 0) {
+    size_t n = p.nLwe;
+    if (count == 0) {
+        return 0;
+    }
+    // The signed accumulators hold at most rows * lk terms of
+    // |digit| <= B/2 times a residue < q; bound the sum below 2^63 so
+    // the i64 never wraps (Set-I: 5120 * 8 * 2^32 < 2^48). Digits are
+    // stored as i8, which needs B/2 <= 128.
+    trinity_assert(ksk.logB >= 1 && ksk.logB <= 8,
+                   "keyswitch base 2^%u unsupported", ksk.logB);
+    trinity_assert(u128(rows) * lk * (u64(1) << (ksk.logB - 1)) *
+                           (p.q - 1) <
+                       (u128(1) << 63),
+                   "keyswitch accumulator bound exceeds 2^63");
+    for (size_t c = 0; c < count; ++c) {
+        trinity_assert(wides[c].a.size() == rows, "ksk dimension mismatch");
+    }
+    Gadget gadget(p.q, ksk.logB, lk);
+    PolyBackend &backend = activeBackend();
+    const simd::KernelSet &ks = backend.kernels();
+
+    // Pass 1: every ciphertext's digits, laid out [row*lk + l][c] so
+    // the lockstep pass reads one key row's digits contiguously. A
+    // zero coefficient decomposes to all-zero digits (skipped). MAC
+    // lanes count nonzero digits, nLwe + 1 lanes each.
+    std::vector<i8> digits(rows * lk * count, 0);
+    std::vector<u64> lanes(count, 0);
+    backend.run(count, [&](size_t c) {
+        i64 d[64];
+        for (size_t i = 0; i < rows; ++i) {
+            u64 x = wides[c].a[i];
+            if (x == 0) {
                 continue;
             }
-            u64 d = toResidue(digits[j], p.q);
-            const LweCiphertext &row = ksk.rows[i][j];
-            for (size_t t = 0; t < p.nLwe; ++t) {
-                out.a[t] = m.sub(out.a[t], m.mul(d, row.a[t]));
+            gadget.decompose(x, d);
+            for (u32 l = 0; l < lk; ++l) {
+                digits[(i * lk + l) * count + c] = static_cast<i8>(d[l]);
+                lanes[c] += d[l] != 0 ? n + 1 : 0;
             }
-            out.b = m.sub(out.b, m.mul(d, row.b));
-            mac_lanes += p.nLwe + 1;
         }
+        outs[c].a.assign(n, 0);
+    });
+
+    // Pass 2: walk the key once per batch. Column slice s of every key
+    // row is applied to every ciphertext's nonzero digit while it is
+    // hot in cache; the extra task s == slices does the body column.
+    // One slice per thread (at least 64 columns, a lane multiple)
+    // keeps each key-row read a long contiguous run. Each output is
+    // reduced once: a' = -sum d * ksk.a, b' = b - sum d * ksk.b.
+    size_t per_thread = (n + backend.threadCount() - 1) /
+                        backend.threadCount();
+    size_t slice = std::max<size_t>(64, (per_thread + 7) / 8 * 8);
+    size_t slices = (n + slice - 1) / slice;
+    std::vector<i64> acc(count * n, 0);
+    auto reduce = [&](i64 v) {
+        i64 r = v % static_cast<i64>(p.q);
+        return static_cast<u64>(r < 0 ? r + static_cast<i64>(p.q) : r);
+    };
+    backend.run(slices + 1, [&](size_t s) {
+        if (s == slices) {
+            std::vector<i64> body(count, 0);
+            for (size_t i = 0; i < rows; ++i) {
+                for (u32 l = 0; l < lk; ++l) {
+                    const i8 *dd = &digits[(i * lk + l) * count];
+                    i64 b = static_cast<i64>(ksk.rows[i][l].b);
+                    for (size_t c = 0; c < count; ++c) {
+                        body[c] += dd[c] * b;
+                    }
+                }
+            }
+            for (size_t c = 0; c < count; ++c) {
+                outs[c].b = m.sub(wides[c].b, reduce(body[c]));
+            }
+            return;
+        }
+        size_t t0 = s * slice;
+        size_t len = std::min(slice, n - t0);
+        for (size_t i = 0; i < rows; ++i) {
+            for (u32 l = 0; l < lk; ++l) {
+                ks.lweKsAccumulate(acc.data() + t0, n,
+                                   &digits[(i * lk + l) * count], count,
+                                   ksk.rows[i][l].a.data() + t0, len);
+            }
+        }
+        for (size_t c = 0; c < count; ++c) {
+            for (size_t t = t0; t < t0 + len; ++t) {
+                outs[c].a[t] = m.neg(reduce(acc[c * n + t]));
+            }
+        }
+    });
+    u64 mac_lanes = 0;
+    for (u64 l : lanes) {
+        mac_lanes += l;
     }
     return mac_lanes;
 }
@@ -187,7 +238,7 @@ TfheBootstrapper::keySwitch(const LweCiphertext &wide,
                             const TfheKeySwitchKey &ksk) const
 {
     LweCiphertext out;
-    u64 mac_lanes = keySwitchInto(wide, ksk, out);
+    u64 mac_lanes = keySwitchLockstep(&wide, 1, ksk, &out);
     emitKernel(sim::KernelType::LweKs, mac_lanes,
                ctx_->params().nLwe);
     return out;
@@ -278,17 +329,9 @@ std::vector<LweCiphertext>
 TfheBootstrapper::keySwitchBatch(const LweCiphertext *wides, size_t count,
                                  const TfheKeySwitchKey &ksk) const
 {
-    const auto &p = ctx_->params();
     std::vector<LweCiphertext> out(count);
-    std::vector<u64> lanes(count, 0);
-    activeBackend().run(count, [&](size_t j) {
-        lanes[j] = keySwitchInto(wides[j], ksk, out[j]);
-    });
-    u64 mac_lanes = 0;
-    for (u64 l : lanes) {
-        mac_lanes += l;
-    }
-    emitKernel(sim::KernelType::LweKs, mac_lanes, p.nLwe);
+    u64 mac_lanes = keySwitchLockstep(wides, count, ksk, out.data());
+    emitKernel(sim::KernelType::LweKs, mac_lanes, ctx_->params().nLwe);
     return out;
 }
 

@@ -118,10 +118,16 @@ class TfheBootstrapper
     /** sampleExtract math without the kernel emission. */
     void extractInto(const GlweCiphertext &acc, size_t idx,
                      LweCiphertext &out) const;
-    /** keySwitch math without the kernel emission; returns MAC lanes. */
-    u64 keySwitchInto(const LweCiphertext &wide,
-                      const TfheKeySwitchKey &ksk,
-                      LweCiphertext &out) const;
+    /**
+     * keySwitch math for @p count ciphertexts without the kernel
+     * emission; returns the MAC lanes of every nonzero digit. Batch
+     * lockstep: digits first, then one walk over the key applying
+     * each row to every ciphertext (signed i64 accumulation, one
+     * reduction per output), so the key streams once per batch.
+     */
+    u64 keySwitchLockstep(const LweCiphertext *wides, size_t count,
+                          const TfheKeySwitchKey &ksk,
+                          LweCiphertext *outs) const;
 };
 
 } // namespace trinity

@@ -14,6 +14,8 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "backend/registry.h"
 #include "backend/serial_backend.h"
@@ -255,6 +257,41 @@ TEST(ThreadPool, NestedRunDoesNotDeadlock)
     });
     EXPECT_EQ(total.load(), 32);
     BackendRegistry::instance().select("serial");
+}
+
+/** Several external threads submitting batches to one pool at once
+ *  (server shards, concurrent key materializations): every call must
+ *  run each of its own indices exactly once and return. */
+TEST(ThreadPool, ConcurrentExternalSubmittersRunEveryIndexOnce)
+{
+    ThreadPoolBackend pool(4);
+    const size_t submitters = 4;
+    const size_t calls = 200;
+    const size_t count = 37;
+    std::vector<std::vector<std::atomic<int>>> hits(submitters);
+    for (auto &h : hits) {
+        h = std::vector<std::atomic<int>>(calls * count);
+    }
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < submitters; ++t) {
+        threads.emplace_back([&, t] {
+            for (size_t c = 0; c < calls; ++c) {
+                pool.run(count, [&, t, c](size_t i) {
+                    hits[t][c * count + i].fetch_add(1);
+                });
+            }
+        });
+    }
+    for (auto &th : threads) {
+        th.join();
+    }
+    for (size_t t = 0; t < submitters; ++t) {
+        for (size_t k = 0; k < calls * count; ++k) {
+            ASSERT_EQ(hits[t][k].load(), 1)
+                << "submitter " << t << " call " << k / count
+                << " index " << k % count;
+        }
+    }
 }
 
 } // namespace

@@ -29,7 +29,10 @@
 #include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pir/database.h"
+#include "pir/pir.h"
 #include "runtime/pbs_server.h"
+#include "runtime/pir_server.h"
 
 namespace trinity {
 namespace {
@@ -568,6 +571,143 @@ TEST(ObsWiring, PbsServerLatencyHistogramCountsRequests)
     EXPECT_EQ(lat.count() - lat0, kRequests);
     EXPECT_EQ(qw.count() - qw0, kRequests);
     obs::overrideMetrics(-1);
+}
+
+/** True when @p s is well-formed UTF-8 (no overlongs, surrogates, or
+ *  code points past U+10FFFF) — what a strict JSON reader demands. */
+bool
+strictUtf8(const std::string &s)
+{
+    size_t i = 0;
+    while (i < s.size()) {
+        unsigned char c = static_cast<unsigned char>(s[i]);
+        size_t len;
+        u32 cp;
+        if (c < 0x80) {
+            ++i;
+            continue;
+        } else if ((c & 0xE0) == 0xC0) {
+            len = 2;
+            cp = c & 0x1F;
+        } else if ((c & 0xF0) == 0xE0) {
+            len = 3;
+            cp = c & 0x0F;
+        } else if ((c & 0xF8) == 0xF0) {
+            len = 4;
+            cp = c & 0x07;
+        } else {
+            return false;
+        }
+        if (i + len > s.size()) {
+            return false;
+        }
+        for (size_t k = 1; k < len; ++k) {
+            unsigned char cc = static_cast<unsigned char>(s[i + k]);
+            if ((cc & 0xC0) != 0x80) {
+                return false;
+            }
+            cp = (cp << 6) | (cc & 0x3F);
+        }
+        static const u32 kMin[] = {0, 0, 0x80, 0x800, 0x10000};
+        if (cp < kMin[len] || cp > 0x10FFFF ||
+            (cp >= 0xD800 && cp <= 0xDFFF)) {
+            return false;
+        }
+        i += len;
+    }
+    return true;
+}
+
+/** Every process_name of a trace file, in file order. */
+std::vector<std::string>
+processNames(const std::string &text)
+{
+    std::vector<std::string> out;
+    Json root;
+    if (!JsonParser(text).parse(root)) {
+        return out;
+    }
+    const Json *events = root.find("traceEvents");
+    if (events == nullptr) {
+        return out;
+    }
+    for (const Json &ev : events->arr) {
+        const Json *name = ev.find("name");
+        const Json *args = ev.find("args");
+        if (name != nullptr && name->str == "process_name" &&
+            args != nullptr && args->find("name") != nullptr) {
+            out.push_back(args->find("name")->str);
+        }
+    }
+    return out;
+}
+
+/** Servers label their batch spans with a caller-owned std::string;
+ *  the trace is written after the servers (and their labels) are
+ *  gone, so the track names must have been copied, and two servers
+ *  with one label must land on one pid. */
+TEST(ObsTrace, ServerTrackNamesOutliveTheirServers)
+{
+    // Serial engine: two servers share it, and the pool engine's
+    // concurrent-submitter contract is not what this test is about.
+    std::string prev = BackendRegistry::instance().active().name();
+    BackendRegistry::instance().select("serial");
+    std::string path = tempTracePath("server_labels");
+    obs::enableTrace(path);
+
+    TfheGateBootstrapper gb(TfheParams::testTiny(), 20240);
+    {
+        // Two live servers, one label, distinct label storage.
+        runtime::ServerOptions opts;
+        opts.label = std::string("trace_label_") + "pbs";
+        std::vector<std::unique_ptr<runtime::PbsServer>> servers;
+        for (int i = 0; i < 2; ++i) {
+            servers.push_back(
+                std::make_unique<runtime::PbsServer>(gb, opts));
+        }
+        for (auto &server : servers) {
+            EXPECT_TRUE(
+                gb.decryptBit(server->submit(gb.encryptBit(true)).get()));
+        }
+    }
+
+    pir::PirParams pp = pir::PirParams::testTiny();
+    pir::PirClient client(pp, 71);
+    pir::PirQueryKeys keys = client.makeQueryKeys();
+    pir::PirDatabase db = pir::PirDatabase::random(pp, 72);
+    pir::PirDbStore store(
+        client.ctx(),
+        [&](pir::PirTenantId) -> const pir::PirDatabase & { return db; },
+        0, "trace_label_store");
+    {
+        runtime::ServerOptions opts;
+        opts.label = std::string("trace_label_") + "pir";
+        runtime::PirServer server(
+            client.sharedCtx(), pp, store,
+            [&](pir::PirTenantId) -> const pir::PirQueryKeys & {
+                return keys;
+            },
+            opts);
+        EXPECT_EQ(client.decode(server.submit(0, client.makeQuery(3)).get()),
+                  db.record(3));
+    }
+
+    ASSERT_TRUE(obs::writeTrace());
+    obs::disableTrace();
+    std::string text = readFile(path);
+    EXPECT_TRUE(strictUtf8(text)) << "trace is not valid UTF-8";
+    std::map<std::string, size_t> cats;
+    validateTrace(path, cats);
+    std::vector<std::string> names = processNames(text);
+    EXPECT_EQ(std::count(names.begin(), names.end(), "trace_label_pbs"),
+              1);
+    EXPECT_EQ(std::count(names.begin(), names.end(), "trace_label_pir"),
+              1);
+    for (const std::string &name : names) {
+        EXPECT_FALSE(name.empty()) << "empty process_name";
+    }
+    std::remove(path.c_str());
+    BackendRegistry::instance().select(prev);
 }
 
 } // namespace

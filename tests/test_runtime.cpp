@@ -239,6 +239,61 @@ TEST_F(RuntimeFixture, DestructorDrainsQueuedRequests)
     EXPECT_FALSE(gb->decryptBit(futures[1].get()));
 }
 
+/** Malformed requests interleaved with good traffic on the threads
+ *  engine: each bad one fails its own future with InvalidRequest, the
+ *  good ones decrypt, and the process survives. */
+TEST_F(RuntimeFixture, MalformedRequestsFailOnlyTheirOwnFuture)
+{
+    std::string prev = BackendRegistry::instance().active().name();
+    BackendRegistry::instance().select("threads");
+    const TfheParams &p = gb->params();
+    Poly tiny_tv(p.bigN / 2, p.q);
+    std::vector<std::future<LweCiphertext>> good;
+    std::vector<bool> bits;
+    std::vector<std::future<LweCiphertext>> bad;
+    {
+        ServerOptions opts;
+        opts.maxBatch = 4;
+        PbsServer server(*gb, opts);
+        for (size_t i = 0; i < 12; ++i) {
+            bool b = i % 3 != 0;
+            LweCiphertext ct = gb->encryptBit(b);
+            switch (i % 4) {
+            case 0: { // short mask
+                LweCiphertext s = ct;
+                s.a.pop_back();
+                bad.push_back(server.submit(std::move(s)));
+                break;
+            }
+            case 1: { // unreduced mask coefficient
+                LweCiphertext s = ct;
+                s.a[i] = p.q + 1;
+                bad.push_back(server.submit(std::move(s)));
+                break;
+            }
+            case 2: { // unreduced body, then a test vector off the ring
+                LweCiphertext s = ct;
+                s.b = ~u64{0};
+                bad.push_back(server.submit(std::move(s)));
+                bad.push_back(server.submit(ct, tiny_tv));
+                break;
+            }
+            default:
+                break;
+            }
+            bits.push_back(b);
+            good.push_back(server.submit(std::move(ct)));
+        }
+    }
+    for (auto &f : bad) {
+        EXPECT_THROW(f.get(), runtime::InvalidRequest);
+    }
+    for (size_t i = 0; i < good.size(); ++i) {
+        EXPECT_EQ(gb->decryptBit(good[i].get()), bits[i]) << "request " << i;
+    }
+    BackendRegistry::instance().select(prev);
+}
+
 TEST(RuntimeOptions, EnginesReportPositiveBatchHints)
 {
     auto &reg = BackendRegistry::instance();
