@@ -16,6 +16,11 @@
  * (lweks.*, the per-ciphertext loop with a Barrett mul per term vs
  * the lockstep keySwitchBatch on a single-thread simd engine).
  *
+ * ckks.allocs_per_op counts ScratchArena misses per warmed CKKS HMult
+ * + HRotate (testSmall with --smoke, else testMedium) on each engine:
+ * every RnsPoly and keyswitch slab comes from the pool, so a warmed
+ * evaluator should report 0.
+ *
  * Usage: bench_micro_kernels [--smoke] [--json=PATH] [N [limbs [reps]]]
  */
 
@@ -33,6 +38,7 @@
 #include "backend/simd_backend.h"
 #include "backend/simd_kernels.h"
 #include "bench/bench_util.h"
+#include "ckks/evaluator.h"
 #include "common/primes.h"
 #include "common/rng.h"
 #include "poly/rns.h"
@@ -243,6 +249,53 @@ benchPbsKernels(bool smoke)
     BackendRegistry::instance().select("serial");
 }
 
+/** ckks.allocs_per_op: arena misses per warmed HMult + HRotate. */
+void
+benchCkksAllocs(bool smoke)
+{
+    auto ctx = std::make_shared<CkksContext>(
+        smoke ? CkksParams::testSmall() : CkksParams::testMedium());
+    CkksKeyGenerator keygen(ctx, 77);
+    CkksEncoder encoder(ctx);
+    CkksEncryptor enc(ctx, keygen.makePublicKey(), 78);
+    CkksEvaluator eval(ctx);
+    CkksEvalKey relin = keygen.makeRelinKey();
+    CkksEvalKey rot = keygen.makeRotationKey(1);
+    std::vector<double> vals(ctx->params().slots(), 0.5);
+    CkksCiphertext ct = enc.encrypt(
+        encoder.encodeReal(vals, ctx->params().maxLevel));
+    const size_t reps = smoke ? 4 : 16;
+
+    auto emit = [&](const std::string &label) {
+        auto op = [&] {
+            CkksCiphertext prod = eval.multiply(ct, ct, relin);
+            return eval.rotate(prod, 1, rot);
+        };
+        op(); // warm the pool at this shape
+        ScratchArena::resetStats();
+        for (size_t r = 0; r < reps; ++r) {
+            op();
+        }
+        bench::row(label, "ckks.allocs_per_op",
+                   static_cast<double>(ScratchArena::stats().misses) /
+                       reps,
+                   "allocs", "measured");
+    };
+    for (const char *engine : {"serial", "threads"}) {
+        BackendRegistry::instance().select(engine);
+        emit(engine);
+    }
+    for (simd::Level level :
+         {simd::Level::Scalar, simd::Level::Avx2, simd::Level::Avx512}) {
+        if (!simd::levelAvailable(level)) {
+            continue;
+        }
+        BackendRegistry::instance().use(std::make_unique<SimdBackend>(level));
+        emit(std::string("simd-") + simd::levelName(level));
+    }
+    BackendRegistry::instance().select("serial");
+}
+
 } // namespace
 
 int
@@ -441,6 +494,7 @@ main(int argc, char **argv)
                    "hits", "measured");
     }
     benchPbsKernels(args.smoke);
+    benchCkksAllocs(args.smoke);
     bench::writeJsonReport(args, "micro_kernels");
     return 0;
 }

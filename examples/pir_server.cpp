@@ -63,7 +63,9 @@ main()
         clients[0].sharedCtx(), pp, store,
         [&keys](pir::PirTenantId t) -> const pir::PirQueryKeys & {
             return keys[static_cast<size_t>(t)];
-        });
+        },
+        runtime::PirServer::defaultOptions(),
+        [tenants](pir::PirTenantId t) { return t < tenants; });
     std::printf("queue policy: maxBatch=%zu, maxWaitUs=%llu; "
                 "db residency budget=%zu bytes (0 = unbounded)\n",
                 server.maxBatch(),

@@ -171,6 +171,31 @@ baseConvertPass2(const BConvPlan &plan, size_t n)
     return ev;
 }
 
+/** Pass 1 derived from the blocking entry point's jobs (one per
+ *  source limb): the same event the recorder derives from the plan. */
+inline KernelEvent
+baseConvertPass1(const BConvPass1Job *jobs, size_t count)
+{
+    KernelEvent ev;
+    ev.type = sim::KernelType::Bconv;
+    ev.elements = 0;
+    ev.polyLen = count > 0 ? jobs[0].n : 0;
+    ev.bytes = 8 * totalElems(jobs, count);
+    return ev;
+}
+
+/** Pass 2 for one blocking job (one target limb). */
+inline KernelEvent
+baseConvertPass2(const BConvPass2Job &job)
+{
+    KernelEvent ev;
+    ev.type = sim::KernelType::Bconv;
+    ev.elements = static_cast<u64>(job.n) * job.k;
+    ev.polyLen = job.n;
+    ev.bytes = 8 * static_cast<u64>(job.n);
+    return ev;
+}
+
 } // namespace kernel_events
 } // namespace trinity
 

@@ -134,6 +134,31 @@ ObservedBackend::baseConvert(const BConvPlan &plan, const u64 *const *in,
     inner_->baseConvert(plan, in, out, n);
 }
 
+// The phased BConv entry points are what an eager stream calls for a
+// recorded baseConvertPhased(); they price exactly the events the
+// recorder attaches (pass 1 once, pass 2 once per target limb).
+void
+ObservedBackend::baseConvertPass1Batch(const BConvPass1Job *jobs,
+                                       size_t count)
+{
+    if (profilingActive() && count > 0) {
+        emitKernel(kernel_events::baseConvertPass1(jobs, count));
+    }
+    inner_->baseConvertPass1Batch(jobs, count);
+}
+
+void
+ObservedBackend::baseConvertPass2Batch(const BConvPass2Job *jobs,
+                                       size_t count)
+{
+    if (profilingActive()) {
+        for (size_t i = 0; i < count; ++i) {
+            emitKernel(kernel_events::baseConvertPass2(jobs[i]));
+        }
+    }
+    inner_->baseConvertPass2Batch(jobs, count);
+}
+
 void
 ObservedBackend::parallelFor(size_t count,
                              const std::function<void(size_t)> &fn)

@@ -47,6 +47,10 @@ class ObservedBackend : public PolyBackend
     void automorphismBatch(const AutoJob *jobs, size_t count) override;
     void baseConvert(const BConvPlan &plan, const u64 *const *in,
                      u64 *const *out, size_t n) override;
+    void baseConvertPass1Batch(const BConvPass1Job *jobs,
+                               size_t count) override;
+    void baseConvertPass2Batch(const BConvPass2Job *jobs,
+                               size_t count) override;
 
   protected:
     /** The untyped escape hatch carries no kernel class; it is only

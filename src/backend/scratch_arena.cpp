@@ -27,6 +27,12 @@ missCounter()
     return c;
 }
 
+/** Set once this thread's arena has been destroyed (thread exit), so
+ *  buffers outliving it — thread_local or static RnsPolys destroyed
+ *  later — free their slab instead of touching a dead pool. Trivially
+ *  destructible, hence readable at any point of thread teardown. */
+thread_local bool tl_arenaGone = false;
+
 } // namespace
 
 ScratchBuffer &
@@ -34,11 +40,13 @@ ScratchBuffer::operator=(ScratchBuffer &&other) noexcept
 {
     if (this != &other) {
         if (data_ != nullptr) {
-            ScratchArena::local().release(std::move(data_), size_);
+            ScratchArena::releaseToLocal(std::move(data_), capacity_);
         }
         data_ = std::move(other.data_);
         size_ = other.size_;
+        capacity_ = other.capacity_;
         other.size_ = 0;
+        other.capacity_ = 0;
     }
     return *this;
 }
@@ -46,8 +54,13 @@ ScratchBuffer::operator=(ScratchBuffer &&other) noexcept
 ScratchBuffer::~ScratchBuffer()
 {
     if (data_ != nullptr) {
-        ScratchArena::local().release(std::move(data_), size_);
+        ScratchArena::releaseToLocal(std::move(data_), capacity_);
     }
+}
+
+ScratchArena::~ScratchArena()
+{
+    tl_arenaGone = true;
 }
 
 ScratchArena &
@@ -63,21 +76,45 @@ ScratchArena::acquire(size_t elems)
     if (elems == 0) {
         return {};
     }
-    auto it = pool_.find(elems);
-    if (it != pool_.end() && !it->second.empty()) {
-        std::unique_ptr<u64[]> slab = std::move(it->second.back());
-        it->second.pop_back();
+    auto it = pool_.lower_bound(elems);
+    if (it != pool_.end() && it->first <= elems + elems / kSlackDiv) {
+        size_t capacity = it->first;
+        std::unique_ptr<u64[]> slab = std::move(it->second);
+        pool_.erase(it);
+        idleBytes_ -= capacity * sizeof(u64);
         hitCounter().add();
-        return ScratchBuffer(std::move(slab), elems);
+        return ScratchBuffer(std::move(slab), elems, capacity);
     }
     missCounter().add();
-    return ScratchBuffer(std::unique_ptr<u64[]>(new u64[elems]), elems);
+    return ScratchBuffer(std::unique_ptr<u64[]>(new u64[elems]), elems,
+                         elems);
 }
 
 void
-ScratchArena::release(std::unique_ptr<u64[]> data, size_t elems)
+ScratchArena::releaseToLocal(std::unique_ptr<u64[]> data, size_t capacity)
 {
-    pool_[elems].push_back(std::move(data));
+    if (!tl_arenaGone) {
+        local().release(std::move(data), capacity);
+    }
+    // else: `data` frees the slab on return.
+}
+
+void
+ScratchArena::release(std::unique_ptr<u64[]> data, size_t capacity)
+{
+    size_t bytes = capacity * sizeof(u64);
+    if (idleBytes_ + bytes > kMaxIdleBytes) {
+        return; // over the idle bound: free instead of pooling
+    }
+    pool_.emplace(capacity, std::move(data));
+    idleBytes_ += bytes;
+}
+
+void
+ScratchArena::clear()
+{
+    pool_.clear();
+    idleBytes_ = 0;
 }
 
 ScratchArena::Stats

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "backend/command_stream.h"
+#include "backend/kernel_events.h"
 #include "backend/observer.h"
 #include "backend/registry.h"
 #include "backend/scratch_arena.h"
@@ -111,8 +112,15 @@ CkksEvaluator::keySwitch(const RnsPoly &d, const CkksEvalKey &evk,
     trinity_assert(d.numLimbs() == nq, "keyswitch level mismatch");
     trinity_assert(evk.digits.size() >= beta, "evk has too few digits");
 
-    RnsPoly d_coeff = d;
-    d_coeff.toCoeff();
+    // The digits are cut from the coefficient domain. Both evaluator
+    // callers already pass Coeff, so only an Eval input pays a copy.
+    RnsPoly d_converted;
+    if (d.domain() != Domain::Coeff) {
+        d_converted = d;
+        d_converted.toCoeff();
+    }
+    const RnsPoly &d_coeff =
+        d.domain() == Domain::Coeff ? d : d_converted;
 
     // Accumulators over the extended basis, evaluation domain (fresh
     // zeros are valid in either domain, so just tag them).
@@ -199,33 +207,49 @@ CkksEvaluator::keySwitch(const RnsPoly &d, const CkksEvalKey &evk,
     }
     stream->submit();
     stream->wait();
+    fulls.clear(); // back to the pool: the ModDown target reuses one
 
     // iNTT (line 11) and ModDown (line 12): subtract the base-converted
-    // special part and multiply by P^{-1}.
+    // special part and multiply by P^{-1}, in place over each
+    // accumulator's q limbs, then drop the special limbs.
     acc0.toCoeff();
     acc1.toCoeff();
     const BaseConverter &down = ctx_->modDownConverter(level);
+    const simd::KernelSet &ks = activeBackend().kernels();
     std::vector<u64> p_inv(nq);
     for (size_t i = 0; i < nq; ++i) {
-        p_inv[i] = ctx_->pInvModQ(i);
+        p_inv[i] = acc0.modulusAt(i).reduce(ctx_->pInvModQ(i));
+    }
+    ScratchBuffer conv = ScratchArena::local().acquire(nq * n);
+    std::vector<u64 *> conv_out(nq);
+    for (size_t i = 0; i < nq; ++i) {
+        conv_out[i] = conv.data() + i * n;
     }
     auto mod_down = [&](RnsPoly &acc) {
         std::vector<const u64 *> p_part(alpha);
         for (size_t t = 0; t < alpha; ++t) {
             p_part[t] = acc.limbData(nq + t);
         }
-        RnsPoly conv(n, ctx_->qTo(level));
-        std::vector<u64 *> conv_out(nq);
-        for (size_t i = 0; i < nq; ++i) {
-            conv_out[i] = conv.limbData(i);
-        }
         down.convertPointers(p_part.data(), conv_out.data(), n);
-        RnsPoly out = acc.prefix(nq);
-        out.subInPlace(conv);
-        out.scalarMulLimbwise(p_inv);
-        return out;
+        // One limb-local pass fuses the subtract and the P^{-1} scale;
+        // it is priced as the two batches it replaces.
+        emitKernel(kernel_events::make(sim::KernelType::ModAdd, nq * n,
+                                       n, 24));
+        emitKernel(kernel_events::make(sim::KernelType::ModMul, nq * n,
+                                       n, 16));
+        activeBackend().run(nq, [&](size_t i) {
+            u64 *limb = acc.limbData(i);
+            const Modulus &qi = acc.modulusAt(i);
+            ks.sub(limb, limb, conv_out[i], qi, n);
+            ks.scalarMul(limb, limb, p_inv[i], qi, n);
+        });
+        while (acc.numLimbs() > nq) {
+            acc.dropLastLimb();
+        }
     };
-    return {mod_down(acc0), mod_down(acc1)};
+    mod_down(acc0);
+    mod_down(acc1);
+    return {std::move(acc0), std::move(acc1)};
 }
 
 CkksCiphertext
@@ -241,15 +265,16 @@ CkksEvaluator::multiply(const CkksCiphertext &a, const CkksCiphertext &b,
     b0.toEval();
     b1.toEval();
 
-    RnsPoly d0 = a0;
-    d0.mulPointwiseInPlace(b0);
-    RnsPoly d1 = a0;
-    d1.mulPointwiseInPlace(b1);
-    RnsPoly d1b = a1;
-    d1b.mulPointwiseInPlace(b0);
-    d1.addInPlace(d1b);
-    RnsPoly d2 = a1;
-    d2.mulPointwiseInPlace(b1);
+    // d0 = a0 b0, d1 = a0 b1 + a1 b0, d2 = a1 b1. Each product lands in
+    // an operand copy once that operand is dead (d1 in a0, a1 b0 in b0,
+    // d2 in a1), so only d0 needs a buffer of its own.
+    RnsPoly d0 = a0.mulPointwise(b0);
+    a0.mulPointwiseInPlace(b1);
+    b0.setProduct(a1, b0);
+    a0.addInPlace(b0);
+    RnsPoly &d1 = a0;
+    a1.mulPointwiseInPlace(b1);
+    RnsPoly &d2 = a1;
 
     // Relinearize d2 via keyswitch with target secret s^2.
     d2.toCoeff();
@@ -273,17 +298,16 @@ CkksEvaluator::square(const CkksCiphertext &a,
 {
     OpScope scope("HSquare");
     // d0 = c0^2, d1 = 2 c0 c1, d2 = c1^2, then relinearize d2.
+    // d1 and d2 land in the operand copies (a0, a1) once they are dead.
     RnsPoly a0 = a.c0, a1 = a.c1;
     a0.toEval();
     a1.toEval();
-    RnsPoly d0 = a0;
-    d0.mulPointwiseInPlace(a0);
-    RnsPoly d1 = a0;
-    d1.mulPointwiseInPlace(a1);
-    RnsPoly d1b = d1;
-    d1.addInPlace(d1b);
-    RnsPoly d2 = a1;
-    d2.mulPointwiseInPlace(a1);
+    RnsPoly d0 = a0.mulPointwise(a0);
+    a0.mulPointwiseInPlace(a1);
+    a0.addInPlace(a0);
+    RnsPoly &d1 = a0;
+    a1.mulPointwiseInPlace(a1);
+    RnsPoly &d2 = a1;
     d2.toCoeff();
     auto [e0, e1] = keySwitch(d2, relin_key, a.level);
     CkksCiphertext r;
@@ -373,9 +397,17 @@ CkksEvaluator::applyGalois(const CkksCiphertext &ct, u64 g,
                            const CkksEvalKey &galois_key) const
 {
     OpScope scope("HRotate");
-    CkksCiphertext in = ct;
-    in.c0.toCoeff();
-    in.c1.toCoeff();
+    // The automorphism reads the coefficient domain; a Coeff input
+    // (the usual case) is read in place, an Eval one is copied first.
+    CkksCiphertext converted;
+    bool coeff = ct.c0.domain() == Domain::Coeff &&
+                 ct.c1.domain() == Domain::Coeff;
+    if (!coeff) {
+        converted = ct;
+        converted.c0.toCoeff();
+        converted.c1.toCoeff();
+    }
+    const CkksCiphertext &in = coeff ? ct : converted;
     RnsPoly sc0 = in.c0.automorphism(g);
     RnsPoly sc1 = in.c1.automorphism(g);
     auto [e0, e1] = keySwitch(sc1, galois_key, ct.level);

@@ -65,15 +65,59 @@ operator+(const ConstLimbView &a, const ConstLimbView &b)
 
 // -------------------------------------------------------------- RnsPoly
 
-RnsPoly::RnsPoly(size_t n, const std::vector<u64> &moduli)
-    : n_(n), data_(n * moduli.size(), 0)
+RnsPoly
+RnsPoly::uninitialized(size_t n, const std::vector<u64> &moduli)
 {
-    mods_.reserve(moduli.size());
-    tables_.reserve(moduli.size());
+    RnsPoly r;
+    r.n_ = n;
+    r.mods_.reserve(moduli.size());
+    r.tables_.reserve(moduli.size());
     for (u64 q : moduli) {
-        mods_.emplace_back(q);
-        tables_.push_back(NttTableCache::get(n, q));
+        r.mods_.emplace_back(q);
+        r.tables_.push_back(NttTableCache::get(n, q));
     }
+    r.data_ = ScratchArena::local().acquire(n * moduli.size());
+    return r;
+}
+
+RnsPoly::RnsPoly(size_t n, const std::vector<u64> &moduli)
+    : RnsPoly(uninitialized(n, moduli))
+{
+    std::fill_n(data_.data(), numLimbs() * n_, u64(0));
+}
+
+RnsPoly
+RnsPoly::uninitializedLike(const RnsPoly &shape)
+{
+    RnsPoly r;
+    r.n_ = shape.n_;
+    r.domain_ = shape.domain_;
+    r.mods_ = shape.mods_;
+    r.tables_ = shape.tables_;
+    r.data_ = ScratchArena::local().acquire(shape.numLimbs() * shape.n_);
+    return r;
+}
+
+RnsPoly::RnsPoly(const RnsPoly &o) : RnsPoly(uninitializedLike(o))
+{
+    std::copy_n(o.data_.data(), numLimbs() * n_, data_.data());
+}
+
+RnsPoly &
+RnsPoly::operator=(const RnsPoly &o)
+{
+    if (this != &o) {
+        size_t need = o.numLimbs() * o.n_;
+        if (data_.capacity() < need) {
+            data_ = ScratchArena::local().acquire(need);
+        }
+        n_ = o.n_;
+        domain_ = o.domain_;
+        mods_ = o.mods_;
+        tables_ = o.tables_;
+        std::copy_n(o.data_.data(), need, data_.data());
+    }
+    return *this;
 }
 
 RnsPoly::RnsPoly(std::vector<Poly> limbs)
@@ -81,7 +125,7 @@ RnsPoly::RnsPoly(std::vector<Poly> limbs)
     trinity_assert(!limbs.empty(), "empty limb set");
     n_ = limbs[0].n();
     domain_ = limbs[0].domain();
-    data_.resize(n_ * limbs.size());
+    data_ = ScratchArena::local().acquire(n_ * limbs.size());
     mods_.reserve(limbs.size());
     tables_.reserve(limbs.size());
     for (size_t i = 0; i < limbs.size(); ++i) {
@@ -91,7 +135,7 @@ RnsPoly::RnsPoly(std::vector<Poly> limbs)
         mods_.push_back(limbs[i].modulus());
         tables_.push_back(NttTableCache::get(n_, limbs[i].q()));
         std::copy(limbs[i].coeffs().begin(), limbs[i].coeffs().end(),
-                  data_.begin() + static_cast<ptrdiff_t>(i * n_));
+                  limbData(i));
     }
 }
 
@@ -195,13 +239,29 @@ RnsPoly::negInPlace()
 void
 RnsPoly::mulPointwiseInPlace(const RnsPoly &o)
 {
-    checkCompatible(o);
+    setProduct(*this, o);
+}
+
+RnsPoly
+RnsPoly::mulPointwise(const RnsPoly &o) const
+{
+    RnsPoly r = uninitializedLike(*this);
+    r.setProduct(*this, o);
+    return r;
+}
+
+void
+RnsPoly::setProduct(const RnsPoly &a, const RnsPoly &b)
+{
+    a.checkCompatible(b);
+    checkCompatible(a);
     trinity_assert(domain_ == Domain::Eval,
                    "pointwise multiply requires Eval domain");
     std::vector<EltwiseJob> jobs(numLimbs());
     for (size_t i = 0; i < jobs.size(); ++i) {
-        trinity_assert(mods_[i] == o.mods_[i], "RNS modulus mismatch");
-        jobs[i] = {limbData(i), limbData(i), o.limbData(i), &mods_[i],
+        trinity_assert(mods_[i] == a.mods_[i] && mods_[i] == b.mods_[i],
+                       "RNS modulus mismatch");
+        jobs[i] = {limbData(i), a.limbData(i), b.limbData(i), &mods_[i],
                    n_};
     }
     activeBackend().pointwiseMulBatch(jobs.data(), jobs.size());
@@ -242,7 +302,6 @@ RnsPoly::dropLastLimb()
     trinity_assert(!mods_.empty(), "no limb to drop");
     mods_.pop_back();
     tables_.pop_back();
-    data_.resize(mods_.size() * n_);
 }
 
 RnsPoly
@@ -257,8 +316,8 @@ RnsPoly::prefix(size_t count) const
                    mods_.begin() + static_cast<ptrdiff_t>(count));
     r.tables_.assign(tables_.begin(),
                      tables_.begin() + static_cast<ptrdiff_t>(count));
-    r.data_.assign(data_.begin(),
-                   data_.begin() + static_cast<ptrdiff_t>(count * n_));
+    r.data_ = ScratchArena::local().acquire(count * n_);
+    std::copy_n(data_.data(), count * n_, r.data_.data());
     return r;
 }
 
@@ -268,7 +327,7 @@ RnsPoly::automorphism(u64 g) const
     trinity_assert(domain_ == Domain::Coeff,
                    "automorphism operates in coefficient domain");
     trinity_assert(g % 2 == 1, "automorphism index must be odd");
-    RnsPoly r(n_, moduli());
+    RnsPoly r = uninitializedLike(*this); // every slot is written
     std::vector<AutoJob> jobs(numLimbs());
     for (size_t i = 0; i < jobs.size(); ++i) {
         jobs[i] = {r.limbData(i), limbData(i), &mods_[i], n_, g};
@@ -287,7 +346,7 @@ RnsPoly::mulMonomial(u64 t) const
     t %= two_n;
     size_t tr = t % n_;
     bool neg_first = t >= n_;
-    RnsPoly r(n_, moduli());
+    RnsPoly r = uninitializedLike(*this); // both blocks cover [0, n)
     // X^t rotation splits into two contiguous blocks: src[0..n-tr)
     // lands at dst[tr..n) and src[n-tr..n) wraps to dst[0..tr), one
     // of the two negated (which one flips when the rotation crosses
@@ -338,7 +397,7 @@ RnsPoly::uniform(size_t n, const std::vector<u64> &moduli, Rng &rng,
 {
     // Sampling stays serial: the Rng stream must be deterministic and
     // identical across backends.
-    RnsPoly r(n, moduli);
+    RnsPoly r = uninitialized(n, moduli);
     for (size_t j = 0; j < moduli.size(); ++j) {
         u64 *dst = r.limbData(j);
         for (size_t i = 0; i < n; ++i) {
@@ -423,7 +482,7 @@ BaseConverter::convert(const RnsPoly &in) const
         trinity_assert(in.modulusAt(i).value() == from_[i],
                        "BConv limb modulus");
     }
-    RnsPoly r(in.n(), to_);
+    RnsPoly r = RnsPoly::uninitialized(in.n(), to_); // BConv writes all
     std::vector<const u64 *> ins(from_.size());
     std::vector<u64 *> outs(to_.size());
     for (size_t i = 0; i < from_.size(); ++i) {

@@ -7,8 +7,11 @@
  * limbs in ONE contiguous limb-major buffer (limbs x N) so the batched
  * kernels an accelerator executes in bulk — NTT, ModMul, BConv, Auto —
  * operate on a single allocation; per-limb access goes through the
- * lightweight LimbView. All bulk operations route through the active
- * PolyBackend execution engine.
+ * lightweight LimbView. The buffer is a ScratchArena slab, so a warmed
+ * evaluator reuses pooled slabs instead of paying a heap allocation
+ * (and its page faults) per temporary; dropLastLimb keeps the slab.
+ * All bulk operations route through the active PolyBackend execution
+ * engine.
  *
  * The BConv kernel (Section II-A) — a matrix product between an
  * alpha x N limb matrix and an alpha x l base-change matrix — is what
@@ -20,9 +23,11 @@
 #ifndef TRINITY_POLY_RNS_H
 #define TRINITY_POLY_RNS_H
 
+#include <span>
 #include <vector>
 
 #include "backend/poly_backend.h"
+#include "backend/scratch_arena.h"
 #include "poly/poly.h"
 
 namespace trinity {
@@ -121,6 +126,18 @@ class RnsPoly
     /** Zero polynomial over the given prime set (coefficient domain). */
     RnsPoly(size_t n, const std::vector<u64> &moduli);
 
+    /**
+     * Polynomial over the given prime set whose residues are left
+     * unspecified (coefficient domain) — for outputs the caller
+     * overwrites in full, skipping the zero-fill.
+     */
+    static RnsPoly uninitialized(size_t n, const std::vector<u64> &moduli);
+
+    RnsPoly(const RnsPoly &o);
+    RnsPoly &operator=(const RnsPoly &o);
+    RnsPoly(RnsPoly &&) noexcept = default;
+    RnsPoly &operator=(RnsPoly &&) noexcept = default;
+
     /** Gather existing limbs (all same length and domain) into flat form. */
     explicit RnsPoly(std::vector<Poly> limbs);
 
@@ -142,9 +159,12 @@ class RnsPoly
     u64 *limbData(size_t i) { return data_.data() + i * n_; }
     const u64 *limbData(size_t i) const { return data_.data() + i * n_; }
 
-    /** The whole limbs x N buffer, limb-major. */
-    const std::vector<u64> &flat() const { return data_; }
-    std::vector<u64> &flat() { return data_; }
+    /** View of the whole limbs x N buffer, limb-major. */
+    std::span<const u64> flat() const
+    {
+        return {data_.data(), numLimbs() * n_};
+    }
+    std::span<u64> flat() { return {data_.data(), numLimbs() * n_}; }
 
     const Modulus &modulusAt(size_t i) const { return mods_[i]; }
     const NttTable &nttTableAt(size_t i) const { return *tables_[i]; }
@@ -168,13 +188,21 @@ class RnsPoly
     void subInPlace(const RnsPoly &o);
     void negInPlace();
     void mulPointwiseInPlace(const RnsPoly &o);
+    /** Pointwise product into a fresh polynomial (Eval domain): the
+     *  same kernel as mulPointwiseInPlace without copying *this. */
+    RnsPoly mulPointwise(const RnsPoly &o) const;
+    /** *this = a * b pointwise (Eval domain). *this must already have
+     *  a's shape and may alias a or b, so a dead operand's buffer can
+     *  take the product without a temporary. */
+    void setProduct(const RnsPoly &a, const RnsPoly &b);
     /** limb i *= scalars[i] (one reduced scalar per limb). */
     void scalarMulLimbwise(const std::vector<u64> &scalars);
 
     RnsPoly operator+(const RnsPoly &o) const;
     RnsPoly operator-(const RnsPoly &o) const;
 
-    /** Drop the last limb (modulus-chain shortening; used by Rescale). */
+    /** Drop the last limb (modulus-chain shortening; used by Rescale
+     *  and ModDown). The buffer keeps its slab. */
     void dropLastLimb();
 
     /** First @p count limbs as a new RnsPoly (modulus-chain slicing). */
@@ -200,9 +228,12 @@ class RnsPoly
   private:
     size_t n_ = 0;
     Domain domain_ = Domain::Coeff;
-    std::vector<u64> data_; ///< limb-major, numLimbs * n
+    ScratchBuffer data_; ///< limb-major, >= numLimbs * n elements
     std::vector<Modulus> mods_;
     std::vector<std::shared_ptr<const NttTable>> tables_;
+
+    /** Same n/domain/moduli as @p shape, residues unspecified. */
+    static RnsPoly uninitializedLike(const RnsPoly &shape);
 
     void checkCompatible(const RnsPoly &o) const;
 };

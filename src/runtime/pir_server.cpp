@@ -62,8 +62,8 @@ PirServer::defaultOptions()
 PirServer::PirServer(std::shared_ptr<TfheContext> ctx,
                      const pir::PirParams &params,
                      pir::PirDbStore &store, KeysProvider keys,
-                     ServerOptions opts)
-    : store_(store), keys_(std::move(keys)),
+                     ServerOptions opts, TenantFilter known)
+    : store_(store), keys_(std::move(keys)), known_(std::move(known)),
       engine_(std::move(ctx), params), opts_(std::move(opts)),
       max_batch_(opts_.resolvedMaxBatch()),
       metrics_(Metrics::forLabel(opts_.label)),
@@ -82,6 +82,46 @@ PirServer::~PirServer()
     worker_.join();
 }
 
+namespace {
+
+/** Why @p query cannot be answered under @p params ("" when it can). */
+std::string
+malformedReason(const pir::PirParams &params, const pir::PirQuery &query)
+{
+    const TfheParams &tp = params.tfhe;
+    if (query.ct.a.size() != tp.k) {
+        return "GLWE mask count " + std::to_string(query.ct.a.size()) +
+               " != k " + std::to_string(tp.k);
+    }
+    auto check = [&](const Poly &p) -> std::string {
+        if (p.n() != tp.bigN) {
+            return "ring size " + std::to_string(p.n()) + " != N " +
+                   std::to_string(tp.bigN);
+        }
+        if (p.q() != tp.q) {
+            return "modulus is not the server's q";
+        }
+        if (p.domain() != Domain::Coeff) {
+            return "query is not in the coefficient domain";
+        }
+        for (u64 x : p.coeffs()) {
+            if (x >= tp.q) {
+                return "coefficient not reduced mod q";
+            }
+        }
+        return "";
+    };
+    for (const Poly &a : query.ct.a) {
+        std::string why = check(a);
+        if (!why.empty()) {
+            return why;
+        }
+    }
+    return check(query.ct.b);
+}
+
+} // namespace
+
 std::future<pir::PirResponse>
 PirServer::submit(pir::PirTenantId t, pir::PirQuery query)
 {
@@ -90,6 +130,14 @@ PirServer::submit(pir::PirTenantId t, pir::PirQuery query)
     p.query = std::move(query);
     p.enqueuedNs = obs::detail::nowNs();
     std::future<pir::PirResponse> result = p.result.get_future();
+    std::string invalid =
+        known_ && !known_(t) ? "unknown tenant " + std::to_string(t)
+                             : malformedReason(engine_.params(), p.query);
+    if (!invalid.empty()) {
+        p.result.set_exception(std::make_exception_ptr(
+            InvalidRequest("invalid PIR query: " + invalid)));
+        return result;
+    }
     bool rejected = false;
     {
         std::lock_guard<std::mutex> lk(mtx_);

@@ -18,7 +18,11 @@
  * queue_depth, batch_size, queue_wait_ns, request_latency_ns,
  * requests, batches, rejected, shed. Rejected/shed requests resolve
  * their future with AdmissionRejected/DeadlineExceeded — the client
- * always gets an answer, never a hang.
+ * always gets an answer, never a hang. A malformed query (wrong ring
+ * size, mask count, modulus or domain, or an unreduced coefficient)
+ * or one for a tenant the server does not serve resolves with
+ * InvalidRequest at submit, so it never reaches a batch or a
+ * provider.
  */
 
 #ifndef TRINITY_RUNTIME_PIR_SERVER_H
@@ -52,15 +56,22 @@ class PirServer
     using KeysProvider =
         std::function<const pir::PirQueryKeys &(pir::PirTenantId)>;
 
+    /** True for the tenant ids this server serves (those the store's
+     *  and the keys provider can resolve). Called on the submitting
+     *  thread. */
+    using TenantFilter = std::function<bool(pir::PirTenantId)>;
+
     /** ServerOptions::fromEnv() with the PIR metrics label. */
     static ServerOptions defaultOptions();
 
     /** @p store and the provider's key material must outlive the
-     *  server. */
+     *  server. An empty @p known accepts every tenant id, leaving the
+     *  lookup to the providers. */
     PirServer(std::shared_ptr<TfheContext> ctx,
               const pir::PirParams &params, pir::PirDbStore &store,
               KeysProvider keys,
-              ServerOptions opts = defaultOptions());
+              ServerOptions opts = defaultOptions(),
+              TenantFilter known = {});
 
     ~PirServer();
 
@@ -96,6 +107,7 @@ class PirServer
 
     pir::PirDbStore &store_;
     KeysProvider keys_;
+    TenantFilter known_;
     pir::PirEngine engine_;
     ServerOptions opts_;
     size_t max_batch_;

@@ -11,9 +11,11 @@
  * and PBS hot loops allocation-free after warmup.
  */
 
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "backend/registry.h"
@@ -218,10 +220,10 @@ TEST(NttStages, TiledThreadPoolBitIdentical)
             BackendRegistry::instance().use(
                 std::make_unique<ThreadPoolBackend>(threads));
             got.toEval();
-            EXPECT_EQ(got.flat(), expect.flat())
+            EXPECT_TRUE(std::ranges::equal(got.flat(), expect.flat()))
                 << threads << " threads fwd n=" << n;
             got.toCoeff();
-            EXPECT_EQ(got.flat(), ref.flat())
+            EXPECT_TRUE(std::ranges::equal(got.flat(), ref.flat()))
                 << threads << " threads inv n=" << n;
         }
         BackendRegistry::instance().select("serial");
@@ -366,9 +368,10 @@ TEST(NttFused, BatchMatchesUnfusedAcrossEngines)
     }
 }
 
-/** The scratch arena recycles slabs: after one warmup call at a given
- *  shape, the CKKS keyswitch hot loop acquires every scratch buffer
- *  from the pool — zero heap allocations per call. */
+/** The scratch arena recycles slabs: after one warmup chain at a given
+ *  shape, a full HMult -> rescale -> HRotate chain — every ciphertext
+ *  component, evaluator temporary and keyswitch slab — acquires all
+ *  of its buffers from the pool: zero heap allocations per chain. */
 TEST(ScratchArenaReuse, KeySwitchZeroMissAfterWarmup)
 {
     for (const char *engine : {"serial", "threads"}) {
@@ -380,11 +383,18 @@ TEST(ScratchArenaReuse, KeySwitchZeroMissAfterWarmup)
         CkksEncryptor enc(ctx, keygen.makePublicKey(), 8);
         CkksEvaluator eval(ctx);
         auto relin = keygen.makeRelinKey();
+        auto rot = keygen.makeRotationKey(1);
         std::vector<double> vals(ctx->params().slots(), 0.25);
         auto pt = encoder.encodeReal(vals, ctx->params().maxLevel, 0);
         auto ct = enc.encrypt(pt);
+        auto chain = [&] {
+            CkksCiphertext prod = eval.multiply(ct, ct, relin);
+            eval.rescaleInPlace(prod);
+            return eval.rotate(prod, 1, rot);
+        };
 
         eval.multiply(ct, ct, relin); // warmup fills the arena
+        chain();
         ScratchArena::resetStats();
         for (int rep = 0; rep < 3; ++rep) {
             eval.multiply(ct, ct, relin);
@@ -394,6 +404,20 @@ TEST(ScratchArenaReuse, KeySwitchZeroMissAfterWarmup)
             << engine << ": keyswitch allocated after warmup";
         EXPECT_GT(stats.hits, 0u)
             << engine << ": keyswitch never touched the arena";
+
+        ScratchArena::resetStats();
+        for (int rep = 0; rep < 3; ++rep) {
+            CkksCiphertext out = chain();
+            EXPECT_EQ(out.c0.numLimbs(), ctx->params().maxLevel);
+        }
+        stats = ScratchArena::stats();
+        EXPECT_EQ(stats.misses, 0u)
+            << engine << ": a warmed chain allocated";
+        // multiply: 4 operand copies + d0 + 2 accumulators + ModDown
+        // target + digit slabs; rotate: 2 automorphism outputs + the
+        // same keyswitch set. At least one slab per RnsPoly.
+        EXPECT_GE(stats.hits, 3u * 10u)
+            << engine << ": chain polys bypass the arena";
     }
     BackendRegistry::instance().select("serial");
 }
@@ -440,6 +464,155 @@ TEST(ScratchArenaReuse, BucketsReuseExactSizes)
     EXPECT_EQ(stats.hits, 1u);
     EXPECT_EQ(stats.misses, 3u);
     arena.clear();
+}
+
+/** Paper-like limb counts (L = 35, dnum = 3) at a test-size ring, so
+ *  the 36/35-limb shapes of a rescale chain run in milliseconds. */
+CkksParams
+wideChainParams()
+{
+    CkksParams p = CkksParams::paperDefault();
+    p.n = 1 << 10;
+    return p;
+}
+
+/** Best fit across a dropped limb: a poly that lost its last limb
+ *  keeps its slab, and a one-limb-shorter request reuses a pooled slab
+ *  of the longer shape instead of allocating. The smallest fitting
+ *  slab wins; a request far below a slab's capacity does not take it. */
+TEST(ScratchArenaReuse, BestFitReusesSlabAcrossDroppedLimb)
+{
+    ScratchArena &arena = ScratchArena::local();
+    arena.clear();
+    const size_t n = 1024;
+    std::vector<u64> qs = findNttPrimes(36, 2 * n, 36);
+    std::vector<u64> qs35(qs.begin(), qs.end() - 1);
+
+    RnsPoly p(n, qs);
+    const u64 *slab = p.limbData(0);
+    p.dropLastLimb();
+    EXPECT_EQ(p.limbData(0), slab); // dropLastLimb keeps the slab
+    EXPECT_EQ(p.flat().size(), 35 * n);
+    p = RnsPoly(); // release the 36-limb slab
+
+    ScratchArena::resetStats();
+    {
+        RnsPoly q = RnsPoly::uninitialized(n, qs35);
+        EXPECT_EQ(q.limbData(0), slab); // 35 limbs reuse the 36 slab
+    }
+    EXPECT_EQ(ScratchArena::stats().hits, 1u);
+    EXPECT_EQ(ScratchArena::stats().misses, 0u);
+
+    // Best fit: with 36- and 39-limb slabs pooled, 35 limbs take 36.
+    u64 *p36 = nullptr;
+    u64 *p39 = nullptr;
+    {
+        ScratchBuffer a = arena.acquire(36 * n);
+        ScratchBuffer b = arena.acquire(39 * n);
+        p36 = a.data();
+        p39 = b.data();
+    }
+    {
+        ScratchBuffer c = arena.acquire(35 * n);
+        EXPECT_EQ(c.data(), p36);
+        EXPECT_EQ(c.size(), 35 * n);
+        EXPECT_GE(c.capacity(), 36 * n);
+        // 30 limbs are more than 1/kSlackDiv below the 39-limb slab.
+        ScratchBuffer d = arena.acquire(30 * n);
+        EXPECT_NE(d.data(), p39);
+        ScratchBuffer e = arena.acquire(36 * n);
+        EXPECT_EQ(e.data(), p39); // 36 fits the 39 slab's slack
+    }
+    arena.clear();
+    EXPECT_EQ(arena.idleBytes(), 0u);
+}
+
+/** Alternating 36- and 35-limb chains settle on one set of slabs: no
+ *  misses once both shapes ran, idle bytes flat from round to round
+ *  (RSS cannot creep), and never above the bound. Releases past the
+ *  bound are freed, not pooled. */
+TEST(ScratchArenaReuse, IdleBoundHoldsAcrossAlternatingLevels)
+{
+    BackendRegistry::instance().select("serial");
+    ScratchArena &arena = ScratchArena::local();
+    arena.clear();
+    CkksParams params = wideChainParams();
+    auto ctx = std::make_shared<CkksContext>(params);
+    CkksKeyGenerator keygen(ctx, 9);
+    CkksEncoder encoder(ctx);
+    CkksEncryptor enc(ctx, keygen.makePublicKey(), 10);
+    CkksEvaluator eval(ctx);
+    auto relin = keygen.makeRelinKey();
+    auto rot = keygen.makeRotationKey(1);
+    std::vector<double> vals(params.slots(), 0.5);
+    CkksCiphertext top = enc.encrypt(encoder.encodeReal(vals, 35));
+    CkksCiphertext below = enc.encrypt(encoder.encodeReal(vals, 34));
+    ASSERT_EQ(top.c0.numLimbs(), 36u);
+    ASSERT_EQ(below.c0.numLimbs(), 35u);
+    auto chain = [&](const CkksCiphertext &ct) {
+        CkksCiphertext prod = eval.multiply(ct, ct, relin);
+        eval.rescaleInPlace(prod);
+        return eval.rotate(prod, 1, rot);
+    };
+
+    chain(top); // warm both shapes
+    chain(below);
+    size_t idle = arena.idleBytes();
+    EXPECT_GT(idle, 0u);
+    ScratchArena::resetStats();
+    for (int round = 0; round < 3; ++round) {
+        chain(top);
+        chain(below);
+        EXPECT_EQ(arena.idleBytes(), idle) << "round " << round;
+        EXPECT_LE(arena.idleBytes(), ScratchArena::kMaxIdleBytes);
+    }
+    EXPECT_EQ(ScratchArena::stats().misses, 0u);
+
+    // Past the bound: three slabs of 40% of it each; only two fit, the
+    // third is freed on release. (Untouched slabs cost no RSS.)
+    arena.clear();
+    const size_t big = ScratchArena::kMaxIdleBytes * 2 / 5 / sizeof(u64);
+    {
+        ScratchBuffer a = arena.acquire(big);
+        ScratchBuffer b = arena.acquire(big);
+        ScratchBuffer c = arena.acquire(big);
+    }
+    EXPECT_LE(arena.idleBytes(), ScratchArena::kMaxIdleBytes);
+    EXPECT_EQ(arena.idleBytes(), 2 * big * sizeof(u64));
+    arena.clear();
+}
+
+/** A slab released on another thread migrates to that thread's pool:
+ *  the acquiring thread's pool does not get it back, the releasing
+ *  thread reuses it, and a poly destroyed after its thread's arena
+ *  (thread_local teardown order) frees its slab instead of touching
+ *  the dead pool. */
+TEST(ScratchArenaReuse, SlabReleasedOnAnotherThreadMigrates)
+{
+    ScratchArena &arena = ScratchArena::local();
+    arena.clear();
+    const size_t n = 256;
+    std::vector<u64> qs = findNttPrimes(36, 2 * n, 4);
+    RnsPoly p(n, qs);
+    const u64 *slab = p.limbData(0);
+    size_t elems = qs.size() * n;
+
+    std::thread([&, moved = std::move(p)]() mutable {
+        ScratchArena &mine = ScratchArena::local();
+        EXPECT_EQ(mine.idleBytes(), 0u);
+        moved = RnsPoly(); // released here, on this thread
+        EXPECT_EQ(mine.idleBytes(), elems * sizeof(u64));
+        RnsPoly again = RnsPoly::uninitialized(n, qs);
+        EXPECT_EQ(again.limbData(0), slab); // reused on this thread
+        // Outlives this thread's arena: declared before the arena's
+        // first use on a fresh thread, so destroyed after it.
+        std::thread([&] {
+            thread_local RnsPoly late;
+            late = RnsPoly(n, qs);
+            EXPECT_EQ(late.numLimbs(), qs.size());
+        }).join();
+    }).join();
+    EXPECT_EQ(arena.idleBytes(), 0u); // never came back here
 }
 
 } // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -362,6 +363,66 @@ TEST(PirServerTest, ConcurrentQueriesDecodeCorrectly)
     EXPECT_EQ(st.requests, 8u);
     EXPECT_EQ(st.rejected, 0u);
     EXPECT_GE(st.batches, 1u);
+}
+
+/** Malformed queries and queries for unknown tenants, interleaved with
+ *  good traffic on the threads engine, fail only their own future:
+ *  no abort, and every good query still decodes. */
+TEST(PirServerTest, MalformedQueriesFailOnlyTheirOwnFuture)
+{
+    SerialGuard guard;
+    BackendRegistry::instance().select("threads");
+    PirParams pp = PirParams::testTiny();
+    const TfheParams &tp = pp.tfhe;
+    PirClient client(pp, 81);
+    PirQueryKeys keys = client.makeQueryKeys();
+    PirDatabase db = PirDatabase::random(pp, 82);
+    PirDbStore store(
+        client.ctx(),
+        [&](PirTenantId) -> const PirDatabase & { return db; }, 0,
+        "pir_invalid_test_store");
+    const u64 other_q = tp.q == 65537 ? 12289 : 65537;
+    const std::vector<std::function<void(PirQuery &)>> breakers = {
+        [&](PirQuery &q) { q.ct.b = Poly(tp.bigN / 2, tp.q); },
+        [&](PirQuery &q) { q.ct.a.push_back(q.ct.a[0]); },
+        [&](PirQuery &q) { q.ct.a.clear(); },
+        [&](PirQuery &q) { q.ct.a[0] = Poly(tp.bigN, other_q); },
+        [&](PirQuery &q) { q.ct.b.setDomain(Domain::Eval); },
+        [&](PirQuery &q) { q.ct.a[0][5] = tp.q + 3; },
+    };
+
+    std::vector<size_t> indices;
+    std::vector<std::future<PirResponse>> good;
+    std::vector<std::future<PirResponse>> bad;
+    Rng rng(83);
+    {
+        runtime::ServerOptions opts;
+        opts.label = "pir_invalid_test";
+        opts.maxBatch = 4;
+        opts.maxQueue = 64;
+        runtime::PirServer server(
+            client.sharedCtx(), pp, store,
+            [&](PirTenantId) -> const PirQueryKeys & { return keys; },
+            opts, [](PirTenantId t) { return t < 2; });
+        for (size_t i = 0; i < 12; ++i) {
+            size_t index = rng.uniform(pp.records());
+            PirQuery broken = client.makeQuery(index);
+            breakers[i % breakers.size()](broken);
+            bad.push_back(server.submit(i % 2, std::move(broken)));
+            if (i % 4 == 0) { // well-formed, but nobody's tenant
+                bad.push_back(server.submit(2 + i, client.makeQuery(0)));
+            }
+            indices.push_back(index);
+            good.push_back(server.submit(i % 2, client.makeQuery(index)));
+        }
+    }
+    for (auto &f : bad) {
+        EXPECT_THROW(f.get(), runtime::InvalidRequest);
+    }
+    for (size_t i = 0; i < good.size(); ++i) {
+        EXPECT_EQ(client.decode(good[i].get()), db.record(indices[i]))
+            << "query " << i;
+    }
 }
 
 } // namespace

@@ -134,8 +134,9 @@ TEST(SimBackend, CkksPipelineBitIdenticalToSerial)
         auto ct = enc.encrypt(pt);
         auto prod = eval.multiply(ct, ct, relin);
         eval.rescaleInPlace(prod);
-        std::vector<u64> out = prod.c0.flat();
-        const auto &c1 = prod.c1.flat();
+        std::vector<u64> out(prod.c0.flat().begin(),
+                             prod.c0.flat().end());
+        std::span<const u64> c1 = prod.c1.flat();
         out.insert(out.end(), c1.begin(), c1.end());
         return out;
     };

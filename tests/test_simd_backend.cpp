@@ -106,13 +106,13 @@ TEST(SimdEquivalence, NttAllLimbModuli)
                 BackendRegistry::instance().select("serial");
                 a.toEval();
                 withSimd(level, [&] { b.toEval(); });
-                EXPECT_EQ(a.flat(), b.flat())
+                EXPECT_TRUE(std::ranges::equal(a.flat(), b.flat()))
                     << simd::levelName(level) << " fwd n=" << n
                     << " bits=" << bits;
                 BackendRegistry::instance().select("serial");
                 a.toCoeff();
                 withSimd(level, [&] { b.toCoeff(); });
-                EXPECT_EQ(a.flat(), b.flat())
+                EXPECT_TRUE(std::ranges::equal(a.flat(), b.flat()))
                     << simd::levelName(level) << " inv n=" << n
                     << " bits=" << bits;
             }
@@ -137,7 +137,7 @@ TEST(SimdEquivalence, NttShorterThanVector)
                 b.toEval();
                 b.toCoeff();
             });
-            EXPECT_EQ(a.flat(), b.flat())
+            EXPECT_TRUE(std::ranges::equal(a.flat(), b.flat()))
                 << simd::levelName(level) << " n=" << n;
         }
     }
@@ -227,8 +227,9 @@ TEST(SimdEquivalence, CkksPipelineBitIdentical)
         auto ct = enc.encrypt(pt);
         auto prod = eval.multiply(ct, ct, relin);
         eval.rescaleInPlace(prod);
-        std::vector<u64> out = prod.c0.flat();
-        const auto &c1 = prod.c1.flat();
+        std::vector<u64> out(prod.c0.flat().begin(),
+                             prod.c0.flat().end());
+        std::span<const u64> c1 = prod.c1.flat();
         out.insert(out.end(), c1.begin(), c1.end());
         return out;
     };
@@ -283,7 +284,7 @@ TEST(SimdEquivalence, ThreadPoolComposesSimdKernels)
         BackendRegistry::instance().use(
             std::make_unique<ThreadPoolBackend>(threads));
         got.toEval();
-        EXPECT_EQ(got.flat(), expect.flat()) << threads << " threads";
+        EXPECT_TRUE(std::ranges::equal(got.flat(), expect.flat())) << threads << " threads";
     }
     BackendRegistry::instance().select("serial");
 }
