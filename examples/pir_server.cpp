@@ -56,16 +56,14 @@ main()
     pir::PirDbStore store(
         clients[0].ctx(),
         [&dbs](pir::PirTenantId t) -> const pir::PirDatabase & {
-            return dbs[static_cast<size_t>(t)];
+            return dbs.at(static_cast<size_t>(t));
         },
         pir::PirDbStore::budgetFromEnv(0));
     runtime::PirServer server(
         clients[0].sharedCtx(), pp, store,
         [&keys](pir::PirTenantId t) -> const pir::PirQueryKeys & {
-            return keys[static_cast<size_t>(t)];
-        },
-        runtime::PirServer::defaultOptions(),
-        [tenants](pir::PirTenantId t) { return t < tenants; });
+            return keys.at(static_cast<size_t>(t));
+        });
     std::printf("queue policy: maxBatch=%zu, maxWaitUs=%llu; "
                 "db residency budget=%zu bytes (0 = unbounded)\n",
                 server.maxBatch(),

@@ -207,49 +207,52 @@ CkksEvaluator::keySwitch(const RnsPoly &d, const CkksEvalKey &evk,
     }
     stream->submit();
     stream->wait();
-    fulls.clear(); // back to the pool: the ModDown target reuses one
+    fulls.clear(); // back to the pool before ModDown takes its outputs
 
-    // iNTT (line 11) and ModDown (line 12): subtract the base-converted
-    // special part and multiply by P^{-1}, in place over each
-    // accumulator's q limbs, then drop the special limbs.
+    // iNTT (line 11) and ModDown (line 12): BConv an accumulator's
+    // special part into the q-limb slab `e1`, then one limb-local pass
+    // writes (acc_q - conv) * P^{-1}. ct0 lands in place in acc0's q
+    // limbs (both evaluator callers fold it into another poly at
+    // once); ct1, which a rotated ciphertext keeps as c1, lands in
+    // `e1` itself, so it holds only its own limbs.
     acc0.toCoeff();
     acc1.toCoeff();
     const BaseConverter &down = ctx_->modDownConverter(level);
     const simd::KernelSet &ks = activeBackend().kernels();
+    std::vector<u64> q_moduli = acc0.moduli();
+    q_moduli.resize(nq);
+    RnsPoly e1 = RnsPoly::uninitialized(n, q_moduli);
     std::vector<u64> p_inv(nq);
+    std::vector<u64 *> conv(nq);
     for (size_t i = 0; i < nq; ++i) {
         p_inv[i] = acc0.modulusAt(i).reduce(ctx_->pInvModQ(i));
+        conv[i] = e1.limbData(i);
     }
-    ScratchBuffer conv = ScratchArena::local().acquire(nq * n);
-    std::vector<u64 *> conv_out(nq);
-    for (size_t i = 0; i < nq; ++i) {
-        conv_out[i] = conv.data() + i * n;
-    }
-    auto mod_down = [&](RnsPoly &acc) {
+    auto mod_down = [&](const RnsPoly &acc, RnsPoly &dst) {
         std::vector<const u64 *> p_part(alpha);
         for (size_t t = 0; t < alpha; ++t) {
             p_part[t] = acc.limbData(nq + t);
         }
-        down.convertPointers(p_part.data(), conv_out.data(), n);
-        // One limb-local pass fuses the subtract and the P^{-1} scale;
-        // it is priced as the two batches it replaces.
+        down.convertPointers(p_part.data(), conv.data(), n);
+        // The fused subtract and P^{-1} scale is priced as the two
+        // batches it replaces.
         emitKernel(kernel_events::make(sim::KernelType::ModAdd, nq * n,
                                        n, 24));
         emitKernel(kernel_events::make(sim::KernelType::ModMul, nq * n,
                                        n, 16));
         activeBackend().run(nq, [&](size_t i) {
-            u64 *limb = acc.limbData(i);
-            const Modulus &qi = acc.modulusAt(i);
-            ks.sub(limb, limb, conv_out[i], qi, n);
-            ks.scalarMul(limb, limb, p_inv[i], qi, n);
+            u64 *out = dst.limbData(i);
+            const Modulus &qi = dst.modulusAt(i);
+            ks.sub(out, acc.limbData(i), conv[i], qi, n);
+            ks.scalarMul(out, out, p_inv[i], qi, n);
         });
-        while (acc.numLimbs() > nq) {
-            acc.dropLastLimb();
-        }
     };
-    mod_down(acc0);
-    mod_down(acc1);
-    return {std::move(acc0), std::move(acc1)};
+    mod_down(acc0, acc0);
+    while (acc0.numLimbs() > nq) {
+        acc0.dropLastLimb();
+    }
+    mod_down(acc1, e1);
+    return {std::move(acc0), std::move(e1)};
 }
 
 CkksCiphertext
@@ -270,11 +273,15 @@ CkksEvaluator::multiply(const CkksCiphertext &a, const CkksCiphertext &b,
     // d2 in a1), so only d0 needs a buffer of its own.
     RnsPoly d0 = a0.mulPointwise(b0);
     a0.mulPointwiseInPlace(b1);
-    b0.setProduct(a1, b0);
+    b0.mulPointwiseInPlace(a1);
     a0.addInPlace(b0);
     RnsPoly &d1 = a0;
     a1.mulPointwiseInPlace(b1);
     RnsPoly &d2 = a1;
+    // b0 and b1 are dead: back to the pool, where the keyswitch's
+    // q-limb output picks one up.
+    b0 = RnsPoly();
+    b1 = RnsPoly();
 
     // Relinearize d2 via keyswitch with target secret s^2.
     d2.toCoeff();

@@ -89,6 +89,9 @@ class CkksEvaluator
      * Algorithm 1 (Hybrid KeySwitch): given d over q_0..q_l in the
      * coefficient domain, produce (ct0, ct1) with
      * ct0 + ct1*s ~ d*s' where s' is the evk's target secret.
+     * ct1 owns a q-limb slab; ct0 keeps its extended-basis
+     * accumulator slab (q + special limbs), so fold it into another
+     * poly rather than storing it.
      */
     std::pair<RnsPoly, RnsPoly> keySwitch(const RnsPoly &d,
                                           const CkksEvalKey &evk,

@@ -104,7 +104,8 @@ class PirDbStore
   public:
     /** At-rest database lookup; the returned reference must stay
      *  valid until the store is destroyed. Called outside the store
-     *  lock, possibly concurrently for distinct tenants. */
+     *  lock, possibly concurrently for distinct tenants. Throws
+     *  std::out_of_range for a tenant it does not know. */
     using Provider = std::function<const PirDatabase &(PirTenantId)>;
 
     PirDbStore(const TfheContext &ctx, Provider provider, size_t budget,

@@ -191,10 +191,6 @@ class RnsPoly
     /** Pointwise product into a fresh polynomial (Eval domain): the
      *  same kernel as mulPointwiseInPlace without copying *this. */
     RnsPoly mulPointwise(const RnsPoly &o) const;
-    /** *this = a * b pointwise (Eval domain). *this must already have
-     *  a's shape and may alias a or b, so a dead operand's buffer can
-     *  take the product without a temporary. */
-    void setProduct(const RnsPoly &a, const RnsPoly &b);
     /** limb i *= scalars[i] (one reduced scalar per limb). */
     void scalarMulLimbwise(const std::vector<u64> &scalars);
 
@@ -234,6 +230,9 @@ class RnsPoly
 
     /** Same n/domain/moduli as @p shape, residues unspecified. */
     static RnsPoly uninitializedLike(const RnsPoly &shape);
+    /** *this = a * b pointwise (Eval domain); *this has a's shape and
+     *  may alias a or b. */
+    void setProduct(const RnsPoly &a, const RnsPoly &b);
 
     void checkCompatible(const RnsPoly &o) const;
 };

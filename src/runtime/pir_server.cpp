@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <stdexcept>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -62,8 +63,8 @@ PirServer::defaultOptions()
 PirServer::PirServer(std::shared_ptr<TfheContext> ctx,
                      const pir::PirParams &params,
                      pir::PirDbStore &store, KeysProvider keys,
-                     ServerOptions opts, TenantFilter known)
-    : store_(store), keys_(std::move(keys)), known_(std::move(known)),
+                     ServerOptions opts)
+    : store_(store), keys_(std::move(keys)),
       engine_(std::move(ctx), params), opts_(std::move(opts)),
       max_batch_(opts_.resolvedMaxBatch()),
       metrics_(Metrics::forLabel(opts_.label)),
@@ -130,9 +131,7 @@ PirServer::submit(pir::PirTenantId t, pir::PirQuery query)
     p.query = std::move(query);
     p.enqueuedNs = obs::detail::nowNs();
     std::future<pir::PirResponse> result = p.result.get_future();
-    std::string invalid =
-        known_ && !known_(t) ? "unknown tenant " + std::to_string(t)
-                             : malformedReason(engine_.params(), p.query);
+    std::string invalid = malformedReason(engine_.params(), p.query);
     if (!invalid.empty()) {
         p.result.set_exception(std::make_exception_ptr(
             InvalidRequest("invalid PIR query: " + invalid)));
@@ -185,14 +184,23 @@ PirServer::executeGroup(std::vector<Pending> &work, size_t begin,
     // Fault in the tenant's serving-form database and resolve its
     // uploaded keys. The shared_ptr pins the resident form for the
     // whole group, so evictions triggered by other tenants' faults
-    // can't invalidate the fold's rows mid-flight.
+    // can't invalidate the fold's rows mid-flight. A provider that
+    // does not know the tenant throws std::out_of_range: the group's
+    // queries were invalid, not the server.
     std::shared_ptr<const pir::ResidentPirDb> db;
     const pir::PirQueryKeys *keys = nullptr;
+    std::exception_ptr err;
     try {
         db = store_.acquire(work[begin].tenant);
         keys = &keys_(work[begin].tenant);
+    } catch (const std::out_of_range &e) {
+        err = std::make_exception_ptr(InvalidRequest(
+            "invalid PIR query: unknown tenant " +
+            std::to_string(work[begin].tenant) + " (" + e.what() + ")"));
     } catch (...) {
-        std::exception_ptr err = std::current_exception();
+        err = std::current_exception();
+    }
+    if (err) {
         for (size_t i = begin; i < end; ++i) {
             work[i].result.set_exception(err);
         }

@@ -20,9 +20,11 @@
  * their future with AdmissionRejected/DeadlineExceeded — the client
  * always gets an answer, never a hang. A malformed query (wrong ring
  * size, mask count, modulus or domain, or an unreduced coefficient)
- * or one for a tenant the server does not serve resolves with
- * InvalidRequest at submit, so it never reaches a batch or a
- * provider.
+ * resolves with InvalidRequest at submit, so it never reaches a
+ * batch. A query for a tenant the providers cannot resolve (they
+ * throw std::out_of_range, e.g. from a container's at()) resolves
+ * with InvalidRequest when its tenant group runs; only that group's
+ * futures fail.
  */
 
 #ifndef TRINITY_RUNTIME_PIR_SERVER_H
@@ -52,26 +54,20 @@ class PirServer
   public:
     /** Per-tenant uploaded key material (expansion + conversion
      *  keys). Called on the worker thread, outside the server lock;
-     *  the returned reference must stay valid for the batch. */
+     *  the returned reference must stay valid for the batch. Throws
+     *  std::out_of_range for a tenant it does not know. */
     using KeysProvider =
         std::function<const pir::PirQueryKeys &(pir::PirTenantId)>;
-
-    /** True for the tenant ids this server serves (those the store's
-     *  and the keys provider can resolve). Called on the submitting
-     *  thread. */
-    using TenantFilter = std::function<bool(pir::PirTenantId)>;
 
     /** ServerOptions::fromEnv() with the PIR metrics label. */
     static ServerOptions defaultOptions();
 
     /** @p store and the provider's key material must outlive the
-     *  server. An empty @p known accepts every tenant id, leaving the
-     *  lookup to the providers. */
+     *  server. */
     PirServer(std::shared_ptr<TfheContext> ctx,
               const pir::PirParams &params, pir::PirDbStore &store,
               KeysProvider keys,
-              ServerOptions opts = defaultOptions(),
-              TenantFilter known = {});
+              ServerOptions opts = defaultOptions());
 
     ~PirServer();
 
@@ -107,7 +103,6 @@ class PirServer
 
     pir::PirDbStore &store_;
     KeysProvider keys_;
-    TenantFilter known_;
     pir::PirEngine engine_;
     ServerOptions opts_;
     size_t max_batch_;

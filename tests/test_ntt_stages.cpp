@@ -368,10 +368,11 @@ TEST(NttFused, BatchMatchesUnfusedAcrossEngines)
     }
 }
 
-/** The scratch arena recycles slabs: after one warmup chain at a given
- *  shape, a full HMult -> rescale -> HRotate chain — every ciphertext
- *  component, evaluator temporary and keyswitch slab — acquires all
- *  of its buffers from the pool: zero heap allocations per chain. */
+/** The scratch arena recycles slabs: after one warmup call at a given
+ *  shape, the CKKS keyswitch hot loop acquires every scratch buffer
+ *  from the pool — zero heap allocations per call. After one warmup
+ *  chain, a full HMult -> rescale -> HRotate chain — every ciphertext
+ *  component, evaluator temporary and keyswitch slab — does too. */
 TEST(ScratchArenaReuse, KeySwitchZeroMissAfterWarmup)
 {
     for (const char *engine : {"serial", "threads"}) {
@@ -394,7 +395,6 @@ TEST(ScratchArenaReuse, KeySwitchZeroMissAfterWarmup)
         };
 
         eval.multiply(ct, ct, relin); // warmup fills the arena
-        chain();
         ScratchArena::resetStats();
         for (int rep = 0; rep < 3; ++rep) {
             eval.multiply(ct, ct, relin);
@@ -405,6 +405,7 @@ TEST(ScratchArenaReuse, KeySwitchZeroMissAfterWarmup)
         EXPECT_GT(stats.hits, 0u)
             << engine << ": keyswitch never touched the arena";
 
+        chain(); // warms the rescaled and rotated shapes
         ScratchArena::resetStats();
         for (int rep = 0; rep < 3; ++rep) {
             CkksCiphertext out = chain();
@@ -420,6 +421,38 @@ TEST(ScratchArenaReuse, KeySwitchZeroMissAfterWarmup)
             << engine << ": chain polys bypass the arena";
     }
     BackendRegistry::instance().select("serial");
+}
+
+/** A keyswitch output a caller keeps (a rotated ciphertext's c1) holds
+ *  a slab sized for its own q limbs, not the extended-basis
+ *  accumulator it was computed in. */
+TEST(ScratchArenaReuse, RotatedCiphertextHoldsCompactSlabs)
+{
+    BackendRegistry::instance().select("serial");
+    auto ctx = std::make_shared<CkksContext>(CkksParams::testSmall());
+    CkksKeyGenerator keygen(ctx, 7);
+    CkksEncoder encoder(ctx);
+    CkksEncryptor enc(ctx, keygen.makePublicKey(), 8);
+    CkksEvaluator eval(ctx);
+    auto rot = keygen.makeRotationKey(1);
+    std::vector<double> vals(ctx->params().slots(), 0.25);
+    auto ct = enc.encrypt(
+        encoder.encodeReal(vals, ctx->params().maxLevel, 0));
+    eval.rescaleInPlace(ct);
+
+    ScratchArena &arena = ScratchArena::local();
+    CkksCiphertext out = eval.rotate(ct, 1, rot);
+    const size_t limb_bytes = out.c1.n() * sizeof(u64);
+    const size_t compact = out.c1.numLimbs() * limb_bytes;
+    const size_t fits = compact + compact / ScratchArena::kSlackDiv;
+    ASSERT_GT(compact + ctx->params().alpha() * limb_bytes, fits)
+        << "shape cannot tell a compact slab from an extended one";
+    for (RnsPoly *comp : {&out.c0, &out.c1}) {
+        size_t idle = arena.idleBytes();
+        *comp = RnsPoly(); // release the slab into this thread's pool
+        EXPECT_GT(arena.idleBytes(), idle);
+        EXPECT_LE(arena.idleBytes() - idle, fits);
+    }
 }
 
 /** Same contract for the batched PBS path: warmed up, the blind-

@@ -367,7 +367,9 @@ TEST(PirServerTest, ConcurrentQueriesDecodeCorrectly)
 
 /** Malformed queries and queries for unknown tenants, interleaved with
  *  good traffic on the threads engine, fail only their own future:
- *  no abort, and every good query still decodes. */
+ *  no abort, and every good query still decodes. Tenants 0 and 1 are
+ *  served; the store also knows tenant 2 (so its unknown-tenant
+ *  failure comes from the keys provider), and neither knows 6 or 10. */
 TEST(PirServerTest, MalformedQueriesFailOnlyTheirOwnFuture)
 {
     SerialGuard guard;
@@ -377,10 +379,14 @@ TEST(PirServerTest, MalformedQueriesFailOnlyTheirOwnFuture)
     PirClient client(pp, 81);
     PirQueryKeys keys = client.makeQueryKeys();
     PirDatabase db = PirDatabase::random(pp, 82);
+    const std::vector<const PirDatabase *> tenant_dbs = {&db, &db, &db};
+    const std::vector<const PirQueryKeys *> tenant_keys = {&keys, &keys};
     PirDbStore store(
         client.ctx(),
-        [&](PirTenantId) -> const PirDatabase & { return db; }, 0,
-        "pir_invalid_test_store");
+        [&](PirTenantId t) -> const PirDatabase & {
+            return *tenant_dbs.at(t);
+        },
+        0, "pir_invalid_test_store");
     const u64 other_q = tp.q == 65537 ? 12289 : 65537;
     const std::vector<std::function<void(PirQuery &)>> breakers = {
         [&](PirQuery &q) { q.ct.b = Poly(tp.bigN / 2, tp.q); },
@@ -402,8 +408,10 @@ TEST(PirServerTest, MalformedQueriesFailOnlyTheirOwnFuture)
         opts.maxQueue = 64;
         runtime::PirServer server(
             client.sharedCtx(), pp, store,
-            [&](PirTenantId) -> const PirQueryKeys & { return keys; },
-            opts, [](PirTenantId t) { return t < 2; });
+            [&](PirTenantId t) -> const PirQueryKeys & {
+                return *tenant_keys.at(t);
+            },
+            opts);
         for (size_t i = 0; i < 12; ++i) {
             size_t index = rng.uniform(pp.records());
             PirQuery broken = client.makeQuery(index);
