@@ -3,7 +3,6 @@
 #include "backend/registry.h"
 #include "common/env.h"
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace trinity {
@@ -117,39 +116,6 @@ materializePirDb(const TfheContext &ctx, const PirDatabase &db)
 
 // ------------------------------------------------------------- PirDbStore
 
-struct PirDbStore::Metrics
-{
-    obs::Counter &hits;
-    obs::Counter &misses;
-    obs::Counter &evictions;
-    obs::Counter &materializations;
-    obs::Gauge &resident_bytes;
-    obs::Histogram &materialize_ns;
-
-    static Metrics &
-    forLabel(const std::string &label)
-    {
-        static std::mutex mtx;
-        static std::map<std::string, std::unique_ptr<Metrics>> all;
-        std::lock_guard<std::mutex> lk(mtx);
-        auto it = all.find(label);
-        if (it == all.end()) {
-            obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-            it = all.emplace(label,
-                             std::unique_ptr<Metrics>(new Metrics{
-                                 reg.counter(label + ".hits"),
-                                 reg.counter(label + ".misses"),
-                                 reg.counter(label + ".evictions"),
-                                 reg.counter(label + ".materializations"),
-                                 reg.gauge(label + ".resident_bytes"),
-                                 reg.histogram(label + ".materialize_ns"),
-                             }))
-                     .first;
-        }
-        return *it->second;
-    }
-};
-
 size_t
 PirDbStore::budgetFromEnv(size_t fallback)
 {
@@ -162,159 +128,14 @@ PirDbStore::budgetFromEnv(size_t fallback)
 
 PirDbStore::PirDbStore(const TfheContext &ctx, Provider provider,
                        size_t budget, std::string label)
-    : ctx_(ctx), provider_(std::move(provider)), budget_(budget),
-      label_(std::move(label)), metrics_(Metrics::forLabel(label_))
+    : ResidentCache(
+          [&ctx, provider](PirTenantId tenant) {
+              return materializePirDb(ctx, provider(tenant));
+          },
+          budget, std::move(label))
 {
-    trinity_assert(provider_ != nullptr,
+    trinity_assert(provider != nullptr,
                    "PirDbStore needs a database provider");
-}
-
-std::shared_ptr<const ResidentPirDb>
-PirDbStore::acquire(PirTenantId tenant)
-{
-    std::promise<std::shared_ptr<const ResidentPirDb>> prom;
-    std::shared_future<std::shared_ptr<const ResidentPirDb>> fut;
-    bool thisThreadMaterializes = false;
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        auto it = entries_.find(tenant);
-        if (it != entries_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-            ++stats_.hits;
-            metrics_.hits.add();
-            fut = it->second.db;
-        } else {
-            ++stats_.misses;
-            metrics_.misses.add();
-            thisThreadMaterializes = true;
-            Entry e;
-            fut = e.db = prom.get_future().share();
-            lru_.push_front(tenant);
-            e.lruIt = lru_.begin();
-            entries_.emplace(tenant, std::move(e));
-        }
-    }
-    // Only the thread that inserted the entry materializes — exactly
-    // once per residency; concurrent acquires wait on the shared
-    // future.
-    if (!thisThreadMaterializes) {
-        return fut.get();
-    }
-    std::shared_ptr<const ResidentPirDb> db;
-    try {
-        db = materialize(tenant);
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lk(mtx_);
-            auto it = entries_.find(tenant);
-            if (it != entries_.end() && it->second.bytes == 0) {
-                dropEntryLocked(it);
-            }
-        }
-        prom.set_exception(std::current_exception());
-        throw;
-    }
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        auto it = entries_.find(tenant);
-        trinity_assert(it != entries_.end(),
-                       "in-flight dbstore entry vanished");
-        it->second.bytes = db->bytes;
-        residentBytes_ += db->bytes;
-        stats_.residentBytes = residentBytes_;
-        ++stats_.materializations;
-        evictToBudget(tenant);
-        metrics_.resident_bytes.set(static_cast<i64>(residentBytes_));
-    }
-    metrics_.materializations.add();
-    prom.set_value(db);
-    return db;
-}
-
-std::shared_ptr<const ResidentPirDb>
-PirDbStore::materialize(PirTenantId tenant)
-{
-    u64 t0 = obs::detail::nowNs();
-    const PirDatabase &raw = provider_(tenant);
-    auto db = std::make_shared<ResidentPirDb>(
-        materializePirDb(ctx_, raw));
-    metrics_.materialize_ns.observe(obs::detail::nowNs() - t0);
-    return db;
-}
-
-void
-PirDbStore::evictToBudget(PirTenantId keep)
-{
-    if (budget_ == 0) {
-        return;
-    }
-    while (residentBytes_ > budget_) {
-        bool evicted = false;
-        for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-            if (*rit == keep) {
-                continue;
-            }
-            auto it = entries_.find(*rit);
-            if (it->second.bytes == 0) {
-                continue; // materialization in flight — not evictable
-            }
-            dropEntryLocked(it);
-            evicted = true;
-            break;
-        }
-        if (!evicted) {
-            // Only @p keep and in-flight entries remain: one tenant
-            // may legitimately exceed the whole budget.
-            break;
-        }
-    }
-}
-
-void
-PirDbStore::dropEntryLocked(std::map<PirTenantId, Entry>::iterator it)
-{
-    residentBytes_ -= it->second.bytes;
-    stats_.residentBytes = residentBytes_;
-    if (it->second.bytes != 0) {
-        ++stats_.evictions;
-        metrics_.evictions.add();
-    }
-    metrics_.resident_bytes.set(static_cast<i64>(residentBytes_));
-    lru_.erase(it->second.lruIt);
-    entries_.erase(it);
-}
-
-bool
-PirDbStore::resident(PirTenantId tenant) const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return entries_.find(tenant) != entries_.end();
-}
-
-bool
-PirDbStore::evict(PirTenantId tenant)
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    auto it = entries_.find(tenant);
-    if (it == entries_.end() || it->second.bytes == 0) {
-        return false;
-    }
-    dropEntryLocked(it);
-    return true;
-}
-
-size_t
-PirDbStore::residentBytes() const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return residentBytes_;
-}
-
-PirDbStore::Stats
-PirDbStore::stats() const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return stats_;
 }
 
 } // namespace pir

@@ -15,25 +15,21 @@
  *    plaintext is lb * 64 / logP — resident bytes, not raw bytes, are
  *    what bounds how many tenant databases fit in serving memory.
  *
- * PirDbStore is the weight-accounted LRU over materialized tenant
- * databases (the KeyStore pattern): materialization happens exactly
- * once per residency even under concurrent acquires, acquire() pins
- * via shared_ptr so eviction never invalidates an in-flight fold, and
- * the budget comes from TRINITY_PIR_DB_BYTES.
+ * PirDbStore is the serving layer's one residency cache
+ * (runtime::ResidentCache, shared with the KeyStore) over materialized
+ * tenant databases: acquire() pins via shared_ptr so eviction never
+ * invalidates an in-flight fold, and the budget comes from
+ * TRINITY_PIR_DB_BYTES.
  */
 
 #ifndef TRINITY_PIR_DATABASE_H
 #define TRINITY_PIR_DATABASE_H
 
 #include <functional>
-#include <future>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
 #include "pir/params.h"
+#include "runtime/resident_cache.h"
 #include "tfhe/core.h"
 
 namespace trinity {
@@ -98,8 +94,9 @@ struct ResidentPirDb
 ResidentPirDb materializePirDb(const TfheContext &ctx,
                                const PirDatabase &db);
 
-/** Weight-accounted LRU cache of materialized tenant databases. */
-class PirDbStore
+/** Weight-accounted LRU cache of materialized tenant databases: the
+ *  ResidentCache whose materializer is materializePirDb. */
+class PirDbStore : public runtime::ResidentCache<ResidentPirDb>
 {
   public:
     /** At-rest database lookup; the returned reference must stay
@@ -111,59 +108,8 @@ class PirDbStore
     PirDbStore(const TfheContext &ctx, Provider provider, size_t budget,
                std::string label = "pir_dbstore");
 
-    PirDbStore(const PirDbStore &) = delete;
-    PirDbStore &operator=(const PirDbStore &) = delete;
-
-    /** The tenant's resident database, faulting it in (and evicting
-     *  LRU entries past the budget) on a miss. The returned pointer
-     *  pins the database for as long as the caller holds it. */
-    std::shared_ptr<const ResidentPirDb> acquire(PirTenantId tenant);
-
-    bool resident(PirTenantId tenant) const;
-    bool evict(PirTenantId tenant);
-
-    size_t budgetBytes() const { return budget_; }
-    size_t residentBytes() const;
-    const std::string &label() const { return label_; }
-
-    struct Stats
-    {
-        u64 hits = 0;
-        u64 misses = 0;
-        u64 evictions = 0;
-        u64 materializations = 0;
-        size_t residentBytes = 0;
-    };
-    Stats stats() const;
-
     /** TRINITY_PIR_DB_BYTES when set, else @p fallback. */
     static size_t budgetFromEnv(size_t fallback);
-
-  private:
-    struct Entry
-    {
-        std::shared_future<std::shared_ptr<const ResidentPirDb>> db;
-        size_t bytes = 0; ///< 0 while materialization is in flight
-        std::list<PirTenantId>::iterator lruIt;
-    };
-
-    std::shared_ptr<const ResidentPirDb> materialize(PirTenantId tenant);
-    void evictToBudget(PirTenantId keep);
-    void dropEntryLocked(std::map<PirTenantId, Entry>::iterator it);
-
-    const TfheContext &ctx_;
-    Provider provider_;
-    size_t budget_; ///< 0 = unbounded
-    std::string label_;
-
-    mutable std::mutex mtx_;
-    std::map<PirTenantId, Entry> entries_;
-    std::list<PirTenantId> lru_; ///< front = most recently used
-    size_t residentBytes_ = 0;
-    Stats stats_;
-
-    struct Metrics;
-    Metrics &metrics_;
 };
 
 } // namespace pir

@@ -25,7 +25,7 @@
 #ifndef TRINITY_PIR_GALOIS_H
 #define TRINITY_PIR_GALOIS_H
 
-#include "pir/gadget.h"
+#include "common/gadget.h"
 #include "tfhe/core.h"
 
 namespace trinity {

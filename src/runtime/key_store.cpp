@@ -1,51 +1,10 @@
 #include "runtime/key_store.h"
 
-#include <algorithm>
-#include <exception>
-#include <map>
-
 #include "common/env.h"
 #include "common/logging.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace trinity {
 namespace runtime {
-
-// ---------------------------------------------------------------- metrics
-
-struct KeyStore::Metrics
-{
-    obs::Counter &hits;
-    obs::Counter &misses;
-    obs::Counter &evictions;
-    obs::Counter &materializations;
-    obs::Gauge &resident_bytes;
-    obs::Histogram &materialize_ns;
-
-    static Metrics &
-    forLabel(const std::string &label)
-    {
-        static std::mutex mtx;
-        static std::map<std::string, std::unique_ptr<Metrics>> all;
-        std::lock_guard<std::mutex> lk(mtx);
-        auto it = all.find(label);
-        if (it == all.end()) {
-            obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
-            it = all.emplace(label,
-                             std::unique_ptr<Metrics>(new Metrics{
-                                 reg.counter(label + ".hits"),
-                                 reg.counter(label + ".misses"),
-                                 reg.counter(label + ".evictions"),
-                                 reg.counter(label + ".materializations"),
-                                 reg.gauge(label + ".resident_bytes"),
-                                 reg.histogram(label + ".materialize_ns"),
-                             }))
-                     .first;
-        }
-        return *it->second;
-    }
-};
 
 // ------------------------------------------------------- tenant material
 
@@ -120,188 +79,29 @@ KeyStore::budgetFromEnv(size_t fallback)
 
 KeyStore::KeyStore(const TfheContext &ctx, Provider provider,
                    size_t budget, std::string label)
-    : ctx_(ctx), provider_(std::move(provider)), budget_(budget),
-      label_(std::move(label)), metrics_(Metrics::forLabel(label_))
+    : ResidentCache(
+          [&ctx, provider](TenantId tenant) {
+              // Deep-copy the stored (coefficient-domain) bootstrap key
+              // and run the forward-NTT sweep — the lazy materialization
+              // this store exists to amortize. If a provider hands out
+              // keys already in the NTT domain, ggswToEval is a no-op
+              // and only the copy is paid.
+              const TenantKeyMaterial &m = provider(tenant);
+              ResidentKeys keys;
+              keys.bsk.bsk = m.bskStored.bsk;
+              for (GgswCiphertext &g : keys.bsk.bsk) {
+                  ctx.ggswToEval(g);
+              }
+              keys.ksk = m.ksk;
+              keys.signTv = m.signTv;
+              keys.bytes = bskBytesOf(keys.bsk) + kskBytesOf(keys.ksk) +
+                           keys.signTv.coeffs().size() * sizeof(u64);
+              return keys;
+          },
+          budget, std::move(label))
 {
-    trinity_assert(provider_ != nullptr,
+    trinity_assert(provider != nullptr,
                    "KeyStore needs a tenant-material provider");
-}
-
-std::shared_ptr<const ResidentKeys>
-KeyStore::acquire(TenantId tenant)
-{
-    std::promise<std::shared_ptr<const ResidentKeys>> prom;
-    std::shared_future<std::shared_ptr<const ResidentKeys>> fut;
-    bool thisThreadMaterializes = false;
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        auto it = entries_.find(tenant);
-        if (it != entries_.end()) {
-            lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-            ++stats_.hits;
-            metrics_.hits.add();
-            fut = it->second.keys;
-        } else {
-            ++stats_.misses;
-            metrics_.misses.add();
-            thisThreadMaterializes = true;
-            Entry e;
-            fut = e.keys = prom.get_future().share();
-            lru_.push_front(tenant);
-            e.lruIt = lru_.begin();
-            entries_.emplace(tenant, std::move(e));
-        }
-    }
-    // A hit (or a concurrent miss whose materialization is already in
-    // flight) resolves through the shared future; only the thread
-    // that inserted the entry materializes — exactly once per
-    // residency.
-    if (!thisThreadMaterializes) {
-        return fut.get();
-    }
-    std::shared_ptr<const ResidentKeys> keys;
-    try {
-        keys = materialize(tenant);
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lk(mtx_);
-            auto it = entries_.find(tenant);
-            if (it != entries_.end() && it->second.bytes == 0) {
-                dropEntryLocked(it);
-            }
-        }
-        prom.set_exception(std::current_exception());
-        throw;
-    }
-    {
-        std::lock_guard<std::mutex> lk(mtx_);
-        auto it = entries_.find(tenant);
-        // In-flight entries cannot be evicted, so the entry is still
-        // here; account its weight and rebalance.
-        trinity_assert(it != entries_.end(),
-                       "in-flight keystore entry vanished");
-        it->second.bytes = keys->bytes;
-        residentBytes_ += keys->bytes;
-        stats_.residentBytes = residentBytes_;
-        ++stats_.materializations;
-        evictToBudget(tenant);
-        metrics_.resident_bytes.set(static_cast<i64>(residentBytes_));
-    }
-    metrics_.materializations.add();
-    prom.set_value(keys);
-    return keys;
-}
-
-std::shared_ptr<const ResidentKeys>
-KeyStore::materialize(TenantId tenant)
-{
-    u64 t0 = obs::detail::nowNs();
-    const TenantKeyMaterial &m = provider_(tenant);
-    auto keys = std::make_shared<ResidentKeys>();
-    // Deep-copy the stored (coefficient-domain) bootstrap key and run
-    // the forward-NTT sweep — the lazy materialization this store
-    // exists to amortize. If a provider hands out keys already in the
-    // NTT domain, ggswToEval is a no-op and only the copy is paid.
-    keys->bsk.bsk = m.bskStored.bsk;
-    for (GgswCiphertext &g : keys->bsk.bsk) {
-        ctx_.ggswToEval(g);
-    }
-    keys->ksk = m.ksk;
-    keys->signTv = m.signTv;
-    keys->bytes = bskBytesOf(keys->bsk) + kskBytesOf(keys->ksk) +
-                  keys->signTv.coeffs().size() * sizeof(u64);
-    metrics_.materialize_ns.observe(obs::detail::nowNs() - t0);
-    return keys;
-}
-
-void
-KeyStore::evictToBudget(TenantId keep)
-{
-    if (budget_ == 0) {
-        return;
-    }
-    while (residentBytes_ > budget_) {
-        bool evicted = false;
-        for (auto rit = lru_.rbegin(); rit != lru_.rend(); ++rit) {
-            if (*rit == keep) {
-                continue;
-            }
-            auto it = entries_.find(*rit);
-            if (it->second.bytes == 0) {
-                continue; // materialization in flight — not evictable
-            }
-            dropEntryLocked(it);
-            evicted = true;
-            break;
-        }
-        if (!evicted) {
-            // Only @p keep and in-flight entries remain: a single
-            // tenant may legitimately exceed the whole budget.
-            break;
-        }
-    }
-}
-
-void
-KeyStore::dropEntryLocked(std::map<TenantId, Entry>::iterator it)
-{
-    residentBytes_ -= it->second.bytes;
-    stats_.residentBytes = residentBytes_;
-    if (it->second.bytes != 0) {
-        ++stats_.evictions;
-        metrics_.evictions.add();
-    }
-    metrics_.resident_bytes.set(static_cast<i64>(residentBytes_));
-    lru_.erase(it->second.lruIt);
-    entries_.erase(it);
-}
-
-bool
-KeyStore::resident(TenantId tenant) const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return entries_.find(tenant) != entries_.end();
-}
-
-bool
-KeyStore::evict(TenantId tenant)
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    auto it = entries_.find(tenant);
-    if (it == entries_.end() || it->second.bytes == 0) {
-        return false;
-    }
-    dropEntryLocked(it);
-    return true;
-}
-
-void
-KeyStore::clear()
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        if (it->second.bytes == 0) {
-            ++it;
-            continue;
-        }
-        auto next = std::next(it);
-        dropEntryLocked(it);
-        it = next;
-    }
-}
-
-size_t
-KeyStore::residentBytes() const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return residentBytes_;
-}
-
-KeyStore::Stats
-KeyStore::stats() const
-{
-    std::lock_guard<std::mutex> lk(mtx_);
-    return stats_;
 }
 
 } // namespace runtime

@@ -19,40 +19,23 @@
  *    in-flight materialization).
  *  - Resident entries are weight-accounted by their actual byte size
  *    and evicted in LRU order once the total exceeds the budget
- *    (TRINITY_KEYSTORE_BYTES, or the constructor argument). Eviction
- *    drops the store's reference only: acquire() hands out
- *    shared_ptrs, so a batch that is mid-flight on an evicted
- *    tenant's keys keeps them alive (pinned) until it completes —
- *    eviction can never invalidate running work. A tenant wider than
- *    the whole budget is still served (admitted over budget, with
- *    everything else evicted); the alternative is an unservable
- *    tenant, not a smaller key.
- *
- * Counters live both on the store (exact, for tests/benches via
- * stats()) and in the obs::MetricsRegistry under the store's label:
- * <label>.hits / .misses / .evictions / .materializations counters,
- * <label>.resident_bytes gauge, <label>.materialize_ns histogram.
+ *    (TRINITY_KEYSTORE_BYTES, or the constructor argument); acquire()
+ *    pins the keys a batch runs on. The cache itself — materialize
+ *    once, eviction, pinning, stats and the <label>.* metrics — is the
+ *    serving layer's one ResidentCache (runtime/resident_cache.h).
  */
 
 #ifndef TRINITY_RUNTIME_KEY_STORE_H
 #define TRINITY_RUNTIME_KEY_STORE_H
 
-#include <atomic>
 #include <functional>
-#include <future>
-#include <list>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 
+#include "runtime/resident_cache.h"
 #include "tfhe/pbs.h"
 
 namespace trinity {
 namespace runtime {
-
-/** Tenant/session identity attached to serving requests. */
-using TenantId = u64;
 
 /**
  * A tenant's durable key material, as registered with the serving
@@ -85,16 +68,17 @@ struct ResidentKeys
 };
 
 /**
- * Weight-accounted LRU cache of materialized tenant keys. Thread-safe;
- * materialization of distinct tenants proceeds concurrently outside
- * the store lock.
+ * Weight-accounted LRU cache of materialized tenant keys: the
+ * ResidentCache whose materializer deep-copies a tenant's stored keys
+ * and runs the bootstrap key's forward-NTT sweep.
  */
-class KeyStore
+class KeyStore : public ResidentCache<ResidentKeys>
 {
   public:
     /** Durable-material lookup; the returned reference must stay
      *  valid until the store is destroyed. Called outside the store
-     *  lock, possibly from several threads for distinct tenants. */
+     *  lock, possibly from several threads for distinct tenants.
+     *  Throws std::out_of_range for a tenant it does not know. */
     using Provider = std::function<const TenantKeyMaterial &(TenantId)>;
 
     /**
@@ -106,85 +90,12 @@ class KeyStore
     KeyStore(const TfheContext &ctx, Provider provider, size_t budget,
              std::string label = "keystore");
 
-    KeyStore(const KeyStore &) = delete;
-    KeyStore &operator=(const KeyStore &) = delete;
-
-    /**
-     * The tenant's materialized keys, faulting them in (and evicting
-     * LRU entries past the budget) on a miss. The returned pointer
-     * pins the keys for as long as the caller holds it — eviction
-     * only drops the store's own reference.
-     */
-    std::shared_ptr<const ResidentKeys> acquire(TenantId tenant);
-
-    /** Whether the tenant is currently resident (ready or in flight). */
-    bool resident(TenantId tenant) const;
-
-    /** Drop a resident tenant (false if absent or still
-     *  materializing). Holders of acquire()d pointers are unaffected. */
-    bool evict(TenantId tenant);
-
-    /** Drop every fully materialized entry. */
-    void clear();
-
-    size_t budgetBytes() const { return budget_; }
-    size_t residentBytes() const;
-    const std::string &label() const { return label_; }
-
-    /** Exact counters since construction. */
-    struct Stats
-    {
-        u64 hits = 0;
-        u64 misses = 0;
-        u64 evictions = 0;
-        u64 materializations = 0; ///< lazy NTT faults actually paid
-        size_t residentBytes = 0;
-
-        double
-        hitRate() const
-        {
-            u64 total = hits + misses;
-            return total == 0 ? 0.0
-                              : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-        }
-    };
-    Stats stats() const;
-
     /** TRINITY_KEYSTORE_BYTES when set, else @p fallback. */
     static size_t budgetFromEnv(size_t fallback);
 
     /** Working-set bytes one tenant costs when resident (NTT bsk +
      *  ksk + test vector) — for sizing budgets in benches/tests. */
     static size_t residentBytesFor(const TfheParams &p);
-
-  private:
-    struct Entry
-    {
-        std::shared_future<std::shared_ptr<const ResidentKeys>> keys;
-        size_t bytes = 0; ///< 0 while materialization is in flight
-        std::list<TenantId>::iterator lruIt;
-    };
-
-    std::shared_ptr<const ResidentKeys> materialize(TenantId tenant);
-    /** Evict LRU-tail entries until the budget holds; never evicts
-     *  @p keep or in-flight entries. Caller holds mtx_. */
-    void evictToBudget(TenantId keep);
-    void dropEntryLocked(std::map<TenantId, Entry>::iterator it);
-
-    const TfheContext &ctx_;
-    Provider provider_;
-    size_t budget_; ///< 0 = unbounded
-    std::string label_;
-
-    mutable std::mutex mtx_;
-    std::map<TenantId, Entry> entries_;
-    std::list<TenantId> lru_; ///< front = most recently used
-    size_t residentBytes_ = 0;
-    Stats stats_;
-
-    struct Metrics;
-    Metrics &metrics_;
 };
 
 } // namespace runtime

@@ -15,36 +15,21 @@
  *  - Single-tenant: constructed over one TfheGateBootstrapper, every
  *    request uses its keys (the PR-3 behavior).
  *  - Multi-tenant: constructed over a KeyStore; every request carries
- *    a TenantId, the worker groups each drained window by tenant
+ *    a TenantId, and each tenant group runs as one fused batch on the
+ *    tenant's materialized keys, pinned for the batch's lifetime
  *    (requests in one fused batch must share bootstrap keys — the
  *    lockstep blind rotation reads one GGSW per step for the whole
- *    batch), acquires the tenant's materialized keys from the store
- *    (pinning them for the batch's lifetime), and executes per-tenant
- *    fused batches.
+ *    batch).
  *
- * Policy knobs (env defaults, overridable per ServerOptions):
- *   TRINITY_RUNTIME_BATCH        max requests aggregated into one
- *                                batch (default: the active engine's
- *                                preferredBatch() hint, floor 8)
- *   TRINITY_RUNTIME_MAX_WAIT_US  how long the worker holds an
- *                                underfull batch open, microseconds
- *                                (default 200)
- *   TRINITY_RUNTIME_MAX_QUEUE    admission control: submissions that
- *                                would grow the queue past this are
- *                                rejected immediately with
- *                                AdmissionRejected (0 = unbounded)
- *   TRINITY_RUNTIME_DEADLINE_US  deadline budget: requests whose
- *                                queue wait exceeds this at batch
- *                                assembly are shed with
- *                                DeadlineExceeded instead of executed
- *                                late (0 = none)
- *
- * Malformed requests (wrong LWE dimension, a coefficient >= q, a test
- * vector off the ring) resolve with InvalidRequest at submit.
- * Rejected/shed requests resolve their future with the corresponding
- * exception — the client always gets an answer, never a hang, and an
- * overloaded server degrades by shedding load instead of queueing
- * unboundedly.
+ * The queue, worker, TRINITY_RUNTIME_* policy, tenant grouping, stats
+ * and metrics are the serving layer's one BatchingServer
+ * (runtime/batching_server.h); single-tenant mode submits every
+ * request as tenant 0, so its window is one group. Malformed requests
+ * (wrong LWE dimension, a coefficient >= q, a test vector off the
+ * ring) resolve with InvalidRequest at submit. A multi-tenant request
+ * for a tenant the KeyStore's provider does not know (it throws
+ * std::out_of_range) resolves with InvalidRequest when its tenant
+ * group runs; only that group's futures fail.
  *
  * TRINITY_RUNTIME_BATCH bounds *aggregation* (queueing latency and
  * result batching); lockstep *execution* width is the engine's
@@ -58,89 +43,15 @@
 #ifndef TRINITY_RUNTIME_PBS_SERVER_H
 #define TRINITY_RUNTIME_PBS_SERVER_H
 
-#include <condition_variable>
-#include <deque>
 #include <future>
-#include <mutex>
-#include <stdexcept>
-#include <thread>
+#include <memory>
 
 #include "runtime/batched_pbs.h"
+#include "runtime/batching_server.h"
 #include "runtime/key_store.h"
 
 namespace trinity {
 namespace runtime {
-
-/** Base of every policy-driven request failure. */
-class RequestRejected : public std::runtime_error
-{
-    using std::runtime_error::runtime_error;
-};
-
-/** Admission control: the queue was full at submit time. */
-class AdmissionRejected : public RequestRejected
-{
-    using RequestRejected::RequestRejected;
-};
-
-/** The request waited past the deadline budget and was shed. */
-class DeadlineExceeded : public RequestRejected
-{
-    using RequestRejected::RequestRejected;
-};
-
-/** The request is malformed for the server's parameters (LWE
- *  dimension, unreduced coefficients, test-vector ring); rejected at
- *  submit so it never reaches the shared batch. */
-class InvalidRequest : public RequestRejected
-{
-    using RequestRejected::RequestRejected;
-};
-
-/** Aggregation and overload policy for the serving loop. */
-struct ServerOptions
-{
-    /** Max requests fused into one batch; 0 resolves to the active
-     *  engine's preferredBatch() hint. */
-    size_t maxBatch = 0;
-    /** Deadline after which an underfull batch is flushed anyway,
-     *  counted from when the worker starts assembling it. */
-    u64 maxWaitUs = 200;
-    /** Admission bound on queued requests; 0 = unbounded. */
-    size_t maxQueue = 0;
-    /** Per-request deadline budget (queue wait, microseconds); 0 =
-     *  never shed. */
-    u64 deadlineUs = 0;
-    /** Metrics prefix ("pbs_server"; shards use "pbs_server.shard<i>"
-     *  so tail latency reports per shard). */
-    std::string label = "pbs_server";
-
-    /** Defaults with the TRINITY_RUNTIME_* env knobs applied
-     *  (strictly validated; fatal on garbage). */
-    static ServerOptions fromEnv();
-
-    /** maxBatch with the 0 default resolved against the engine hint. */
-    size_t resolvedMaxBatch() const;
-};
-
-/** Serving counters, readable while the server runs. */
-struct ServerStats
-{
-    u64 requests = 0;     ///< requests executed
-    u64 batches = 0;      ///< fused batches executed
-    u64 largestBatch = 0; ///< widest batch observed
-    u64 rejected = 0;     ///< admission-rejected at submit
-    u64 shed = 0;         ///< deadline-shed at batch assembly
-
-    double
-    avgBatch() const
-    {
-        return batches == 0
-                   ? 0.0
-                   : static_cast<double>(requests) /
-                         static_cast<double>(batches);
-    }
-};
 
 /**
  * The serving runtime: a request queue plus one worker thread that
@@ -160,8 +71,6 @@ class PbsServer
      *  keys acquired from @p store (which must outlive the server). */
     PbsServer(std::shared_ptr<TfheContext> ctx, KeyStore &store,
               ServerOptions opts = ServerOptions::fromEnv());
-
-    ~PbsServer();
 
     PbsServer(const PbsServer &) = delete;
     PbsServer &operator=(const PbsServer &) = delete;
@@ -184,48 +93,34 @@ class PbsServer
     std::future<LweCiphertext> submit(TenantId t, LweCiphertext ct,
                                       const Poly &tv);
 
-    ServerStats stats() const;
-    const ServerOptions &options() const { return opts_; }
-    size_t maxBatch() const { return max_batch_; }
-    bool multiTenant() const { return store_ != nullptr; }
-    /** The key store (multi-tenant mode only; nullptr otherwise). */
-    KeyStore *keyStore() const { return store_; }
+    ServerStats stats() const { return core_.stats(); }
+    const ServerOptions &options() const { return core_.options(); }
+    size_t maxBatch() const { return core_.maxBatch(); }
 
   private:
-    struct Pending
+    struct Request
     {
-        TenantId tenant = 0;
         LweCiphertext ct;
-        const Poly *tv = nullptr;
-        std::promise<LweCiphertext> result;
-        /** Submission timestamp (obs::detail::nowNs) feeding the
-         *  queue-wait/latency histograms and the deadline policy. */
-        u64 enqueuedNs = 0;
+        const Poly *tv = nullptr; ///< nullptr: the tenant's sign LUT
     };
+    using Core = BatchingServer<Request, LweCiphertext>;
 
-    std::future<LweCiphertext> enqueue(Pending p);
-    void workerLoop();
-    /** Execute one same-key group of @p work; resolves every future. */
-    void executeGroup(std::vector<Pending> &work, size_t begin,
-                      size_t end);
+    PbsServer(const TfheGateBootstrapper *gb, KeyStore *store,
+              std::shared_ptr<TfheContext> ctx, ServerOptions opts);
+
+    /** Why @p r cannot run under the server's parameters ("" when it
+     *  can). */
+    std::string malformedReason(const Request &r) const;
+    /** Resolve tenant @p t's keys (pinned for the group in
+     *  multi-tenant mode) and bind the fused batch to them. */
+    Core::RunGroup bindKeys(TenantId t);
 
     const TfheGateBootstrapper *gb_ = nullptr; ///< single-tenant keys
     KeyStore *store_ = nullptr;                ///< multi-tenant keys
     std::shared_ptr<TfheContext> ctx_;         ///< multi-tenant mode
     std::unique_ptr<TfheBootstrapper> boot_;   ///< multi-tenant mode
-    ServerOptions opts_;
-    size_t max_batch_;
-
-    mutable std::mutex mtx_;
-    std::condition_variable arrived_;
-    std::deque<Pending> queue_;
-    bool stop_ = false;
-    ServerStats stats_;
-
-    struct Metrics;
-    Metrics &metrics_;
-
-    std::thread worker_;
+    /** Last: its worker joins before the members above are gone. */
+    Core core_;
 };
 
 } // namespace runtime

@@ -3,42 +3,30 @@
  * Multi-tenant PIR serving front end.
  *
  * Clients submit() encrypted queries and receive a
- * std::future<pir::PirResponse>; a worker thread drains the request
- * queue in windows under the same batch-size/deadline policy as
- * PbsServer (ServerOptions is shared), groups each window by tenant,
- * acquires the tenant's resident database from the PirDbStore (the
- * returned shared_ptr pins it for the group's lifetime, so a
- * concurrent eviction can never pull the serving form out from under
- * an in-flight fold), and answers each query through the PirEngine
- * pipeline. Per-tenant query keys come from a caller-supplied
- * provider — the server never sees a secret key.
- *
- * Policy knobs are the TRINITY_RUNTIME_* family (see pbs_server.h);
- * metrics land under the options' label ("pir_server" by default):
- * queue_depth, batch_size, queue_wait_ns, request_latency_ns,
- * requests, batches, rejected, shed. Rejected/shed requests resolve
- * their future with AdmissionRejected/DeadlineExceeded — the client
- * always gets an answer, never a hang. A malformed query (wrong ring
+ * std::future<pir::PirResponse>. The queue, worker, window policy
+ * (ServerOptions, shared with PbsServer), tenant grouping, stats and
+ * metrics (under the options' label, "pir_server" by default) are the
+ * serving layer's one BatchingServer (runtime/batching_server.h).
+ * PirServer supplies the query check — a malformed query (wrong ring
  * size, mask count, modulus or domain, or an unreduced coefficient)
- * resolves with InvalidRequest at submit, so it never reaches a
- * batch. A query for a tenant the providers cannot resolve (they
- * throw std::out_of_range, e.g. from a container's at()) resolves
- * with InvalidRequest when its tenant group runs; only that group's
- * futures fail.
+ * resolves with InvalidRequest at submit — and the group executor:
+ * acquire the tenant's resident database (pinned for the group, so a
+ * concurrent eviction can never pull it out from under an in-flight
+ * fold) and uploaded query keys, then answer each query through the
+ * PirEngine pipeline. The server never sees a secret key. A tenant the
+ * providers cannot resolve (they throw std::out_of_range) fails only
+ * its own group's futures, with InvalidRequest.
  */
 
 #ifndef TRINITY_RUNTIME_PIR_SERVER_H
 #define TRINITY_RUNTIME_PIR_SERVER_H
 
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <future>
-#include <mutex>
-#include <thread>
+#include <memory>
 
 #include "pir/pir.h"
-#include "runtime/pbs_server.h"
+#include "runtime/batching_server.h"
 
 namespace trinity {
 namespace runtime {
@@ -69,8 +57,6 @@ class PirServer
               KeysProvider keys,
               ServerOptions opts = defaultOptions());
 
-    ~PirServer();
-
     PirServer(const PirServer &) = delete;
     PirServer &operator=(const PirServer &) = delete;
 
@@ -78,45 +64,23 @@ class PirServer
     std::future<pir::PirResponse> submit(pir::PirTenantId t,
                                          pir::PirQuery query);
 
-    ServerStats stats() const;
-    const ServerOptions &options() const { return opts_; }
-    size_t maxBatch() const { return max_batch_; }
+    ServerStats stats() const { return core_.stats(); }
+    const ServerOptions &options() const { return core_.options(); }
+    size_t maxBatch() const { return core_.maxBatch(); }
     const pir::PirParams &params() const { return engine_.params(); }
-    pir::PirDbStore &dbStore() const { return store_; }
 
   private:
-    struct Pending
-    {
-        pir::PirTenantId tenant = 0;
-        pir::PirQuery query;
-        std::promise<pir::PirResponse> result;
-        /** Submission timestamp (obs::detail::nowNs) feeding the
-         *  queue-wait/latency histograms and the deadline policy. */
-        u64 enqueuedNs = 0;
-    };
+    using Core = BatchingServer<pir::PirQuery, pir::PirResponse>;
 
-    void workerLoop();
-    /** Execute one same-tenant group of @p work; resolves every
-     *  future. */
-    void executeGroup(std::vector<Pending> &work, size_t begin,
-                      size_t end);
+    /** Resolve tenant @p t's resident database (pinned for the group)
+     *  and query keys, and bind the group's answers to them. */
+    Core::RunGroup bindTenant(pir::PirTenantId t);
 
     pir::PirDbStore &store_;
     KeysProvider keys_;
     pir::PirEngine engine_;
-    ServerOptions opts_;
-    size_t max_batch_;
-
-    mutable std::mutex mtx_;
-    std::condition_variable arrived_;
-    std::deque<Pending> queue_;
-    bool stop_ = false;
-    ServerStats stats_;
-
-    struct Metrics;
-    Metrics &metrics_;
-
-    std::thread worker_;
+    /** Last: its worker joins before the members above are gone. */
+    Core core_;
 };
 
 } // namespace runtime

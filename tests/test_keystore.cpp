@@ -9,6 +9,7 @@
  */
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -232,6 +233,69 @@ TEST_F(KeyStoreFixture, ExplicitEvictAndClear)
     store.clear();
     EXPECT_FALSE(store.resident(1));
     EXPECT_EQ(store.residentBytes(), 0u);
+}
+
+/** A materialization that throws while a second caller waits on the
+ *  same tenant: both callers see the exception, and the failed entry
+ *  leaves nothing behind — no residency, no weight, no counted
+ *  materialization, no obstacle to eviction — so the next acquire
+ *  materializes normally. */
+TEST_F(KeyStoreFixture, FailedMaterializationReachesEveryWaiterAndLeavesNoEntry)
+{
+    std::atomic<bool> failNext{true};
+    KeyStore *self = nullptr;
+    KeyStore store(
+        *ctx,
+        [&](TenantId t) -> const TenantKeyMaterial & {
+            if (t == 1 && failNext.exchange(false)) {
+                // Hold the in-flight materialization until the second
+                // caller has found the entry (a hit) and waits on it.
+                while (self->stats().hits == 0) {
+                    std::this_thread::yield();
+                }
+                throw std::runtime_error("injected materialization fault");
+            }
+            return tenants[static_cast<size_t>(t)];
+        },
+        perKey + perKey / 2, "keystore.test.fault");
+    self = &store;
+    store.acquire(0);
+    const size_t bytesBefore = store.residentBytes();
+    const u64 materializedBefore = store.stats().materializations;
+
+    std::atomic<int> failures{0};
+    auto acquireOne = [&] {
+        try {
+            store.acquire(1);
+        } catch (const std::runtime_error &) {
+            failures.fetch_add(1);
+        }
+    };
+    std::thread first(acquireOne);
+    while (!store.resident(1)) {
+        std::this_thread::yield();
+    }
+    std::thread second(acquireOne);
+    first.join();
+    second.join();
+
+    EXPECT_EQ(failures.load(), 2);
+    EXPECT_FALSE(store.resident(1));
+    EXPECT_EQ(store.residentBytes(), bytesBefore);
+    EXPECT_EQ(store.stats().materializations, materializedBefore);
+
+    // The failed entry does not hold up eviction: faulting tenant 2 in
+    // under a one-tenant budget still evicts tenant 0.
+    store.acquire(2);
+    EXPECT_FALSE(store.resident(0));
+    EXPECT_EQ(store.residentBytes(), perKey);
+
+    std::shared_ptr<const ResidentKeys> keys = store.acquire(1);
+    ASSERT_NE(keys, nullptr);
+    EXPECT_EQ(keys->bytes, perKey);
+    EXPECT_TRUE(keys->bsk.bsk.front().inEval);
+    EXPECT_TRUE(store.resident(1));
+    EXPECT_EQ(store.stats().materializations, materializedBefore + 2);
 }
 
 TEST_F(KeyStoreFixture, EvictRefaultMidWorkloadIsBitExact)

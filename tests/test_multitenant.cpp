@@ -318,6 +318,58 @@ TEST_F(MultiTenantFixture, ConcurrentTenantsAcrossShards)
     EXPECT_EQ(correct.load(), 4 * perThread);
 }
 
+/** Requests for tenants the provider does not know, mixed into good
+ *  traffic on a PbsServer and on a ShardedPbsServer: each unknown one
+ *  fails its own future with InvalidRequest (not the provider's raw
+ *  std::out_of_range), and every good request still decrypts. */
+TEST_F(MultiTenantFixture, UnknownTenantFailsOnlyItsOwnGroup)
+{
+    KeyStore::Provider known = [this](TenantId t)
+        -> const TenantKeyMaterial & { return tenants.at(t); };
+    const std::vector<TenantId> unknown = {5, 77, 1000};
+    auto drive = [&](auto &server) {
+        std::vector<std::future<LweCiphertext>> good;
+        std::vector<std::future<LweCiphertext>> bad;
+        std::vector<TenantId> who;
+        std::vector<bool> bits;
+        for (size_t i = 0; i < 12; ++i) {
+            TenantId t = i % tenants.size();
+            bool b = i % 3 != 0;
+            who.push_back(t);
+            bits.push_back(b);
+            good.push_back(server.submit(t, encryptBit(t, b)));
+            if (i % 4 == 1) {
+                LweCiphertext ct = encryptBit(0, true);
+                bad.push_back(
+                    server.submit(unknown[i / 4 % unknown.size()], ct));
+            }
+        }
+        for (auto &f : bad) {
+            EXPECT_THROW(f.get(), runtime::InvalidRequest);
+        }
+        for (size_t i = 0; i < good.size(); ++i) {
+            EXPECT_EQ(decryptBit(who[i], good[i].get()), bits[i])
+                << "request " << i;
+        }
+    };
+    {
+        KeyStore store(*ctx, known, 0, "keystore.test.unknown");
+        ServerOptions opts;
+        opts.maxBatch = 8;
+        opts.label = "pbs_server.test.unknown";
+        PbsServer server(ctx, store, opts);
+        drive(server);
+        EXPECT_FALSE(store.resident(unknown[0]));
+    }
+    {
+        ShardedOptions opts;
+        opts.shards = 2;
+        opts.server.maxBatch = 8;
+        ShardedPbsServer server(ctx, known, opts);
+        drive(server);
+    }
+}
+
 TEST_F(MultiTenantFixture, ShardedDestructorDrainsQueuedRequests)
 {
     std::vector<std::future<LweCiphertext>> futures;

@@ -19,7 +19,7 @@
 #include "backend/registry.h"
 #include "backend/thread_pool_backend.h"
 #include "pir/database.h"
-#include "pir/gadget.h"
+#include "common/gadget.h"
 #include "pir/pir.h"
 #include "runtime/pir_server.h"
 
