@@ -6,7 +6,9 @@
  * Trinity spends its area on: the batched NTT and the BConv matrix
  * product. The simd rows quantify lane-level speedup on one thread;
  * the threads rows compose workers across limbs with SIMD inside
- * each limb job.
+ * each limb job. The ntt.tfhe rows run the same fwd+inv round trip at
+ * the Set-I blind-rotation shape (N=1024 over the TFHE prime just
+ * below 2^32), the shape the kernels' narrow-modulus path serves.
  *
  * Usage: bench_micro_backend [--smoke] [--json=PATH] [N [limbs [reps]]]
  */
@@ -25,7 +27,9 @@
 #include "bench/bench_util.h"
 #include "common/primes.h"
 #include "common/rng.h"
+#include "poly/ntt.h"
 #include "poly/rns.h"
+#include "tfhe/params.h"
 
 using namespace trinity;
 
@@ -66,6 +70,40 @@ timeBconv(Workload &w)
     return t.elapsedMs();
 }
 
+/** Set-I-shaped NTT batch: one blind-rotation step's worth of
+ *  decomposed limbs (B=16 requests x 4 rows) at N=1024, q = Set-I. */
+struct TfheNttWorkload
+{
+    static constexpr size_t kPolys = 64;
+    size_t reps;
+    NttTable table;
+    std::vector<std::vector<u64>> polys;
+    std::vector<NttJob> jobs;
+
+    TfheNttWorkload(const TfheParams &p, size_t reps_, Rng &rng)
+        : reps(reps_), table(p.bigN, Modulus(p.q))
+    {
+        for (size_t i = 0; i < kPolys; ++i) {
+            polys.push_back(rng.uniformVec(p.bigN, p.q));
+        }
+        for (auto &poly : polys) {
+            jobs.push_back({poly.data(), &table});
+        }
+    }
+};
+
+double
+timeTfheNtt(TfheNttWorkload &w)
+{
+    PolyBackend &be = activeBackend();
+    bench::Timer t;
+    for (size_t r = 0; r < w.reps; ++r) {
+        be.nttForwardBatch(w.jobs.data(), w.jobs.size());
+        be.nttInverseBatch(w.jobs.data(), w.jobs.size());
+    }
+    return t.elapsedMs();
+}
+
 size_t
 positionalOr(const bench::BenchArgs &args, size_t idx, size_t fallback)
 {
@@ -93,6 +131,10 @@ main(int argc, char **argv)
     Rng rng(1234);
     w.poly = RnsPoly::uniform(n, w.qs, rng);
     w.bconv = std::make_unique<BaseConverter>(w.qs, w.ps);
+    // One 1024-point transform is far cheaper than a limb of the
+    // N=4096 batch above; 30x the reps keeps the TFHE row's vector
+    // timings (tens of ms in --smoke) long enough to gate on.
+    TfheNttWorkload tw(TfheParams::setI(), 30 * reps, rng);
 
     bench::header("micro_backend: batched NTT + BConv throughput");
     bench::note("N=" + std::to_string(n) +
@@ -110,6 +152,7 @@ main(int argc, char **argv)
         x.toEval();
         x.toCoeff();
         (void)w.bconv->convert(w.poly);
+        (void)timeTfheNtt(tw);
     }
 
     struct Config
@@ -146,13 +189,16 @@ main(int argc, char **argv)
 
     double serial_ntt = 0;
     double serial_bconv = 0;
+    double serial_tfhe = 0;
     for (const Config &cfg : configs) {
         BackendRegistry::instance().use(cfg.make());
         double ntt_ms = timeNtt(w);
         double bconv_ms = timeBconv(w);
+        double tfhe_ms = timeTfheNtt(tw);
         if (cfg.label == "serial") {
             serial_ntt = ntt_ms;
             serial_bconv = bconv_ms;
+            serial_tfhe = tfhe_ms;
         }
         // 2 transforms (fwd+inv) per limb per rep.
         double ntts = 2.0 * static_cast<double>(limbs) * reps;
@@ -166,6 +212,12 @@ main(int argc, char **argv)
                    "conv/s", "measured");
         bench::row(cfg.label, "bconv.speedup",
                    bconv_ms > 0 ? serial_bconv / bconv_ms : 0, "x",
+                   "measured");
+        double tfhe_ntts = 2.0 * TfheNttWorkload::kPolys * tw.reps;
+        bench::row(cfg.label, "ntt.tfhe.batch",
+                   tfhe_ntts / (tfhe_ms / 1000.0), "ntt/s", "measured");
+        bench::row(cfg.label, "ntt.tfhe.speedup",
+                   tfhe_ms > 0 ? serial_tfhe / tfhe_ms : 0, "x",
                    "measured");
     }
     BackendRegistry::instance().select("serial");

@@ -15,6 +15,16 @@
  *    signed 64-bit compares are exact for them;
  *  - full-range 64-bit intermediates (Barrett partial products) use
  *    the sign-flip unsigned compare.
+ *
+ * Narrow-modulus path (simd::narrowModulus: q < 2^32, every TFHE set):
+ * the stage templates below take their twiddle multiply as a policy,
+ * WideMulX4 (64x64 Shoup, any q < 2^62) or NarrowMulX4 (three 32x32
+ * `mul_epu32`). The narrow preconditioner is the table's 64-bit one
+ * shifted right by 32 — exactly floor(w·2^32/q) — so both paths read
+ * the same NttTable. Operands are < q < 2^32, so each 32x32 product is
+ * exact in its 64-bit lane; the remainder a·w − quot·q is < 2q < 2^33
+ * and one signed compare reduces it.
+ *
  * Every routine computes the exact canonical residue of the scalar
  * reference (Modulus::add/sub/neg/mulShoup/reduce128), never a lazy
  * representative, so results are bit-identical lane for lane.
@@ -157,6 +167,41 @@ mulshoupx4(__m256i a, __m256i w, __m256i wpre, __m256i q)
 }
 
 /**
+ * Shoup multiply for q < 2^32 (a, w < q): three 32x32 products. wpre
+ * is the 64-bit shoupPrecompute(w); its high half floor(w·2^32/q) is
+ * the 32-bit preconditioner. The remainder is < 2q < 2^33.
+ */
+inline __m256i
+mulshoup32x4(__m256i a, __m256i w, __m256i wpre, __m256i q)
+{
+    __m256i quot = _mm256_srli_epi64(
+        _mm256_mul_epu32(a, _mm256_srli_epi64(wpre, 32)), 32);
+    __m256i r = _mm256_sub_epi64(_mm256_mul_epu32(a, w),
+                                 _mm256_mul_epu32(quot, q));
+    __m256i lt = _mm256_cmpgt_epi64(q, r);
+    return _mm256_sub_epi64(r, _mm256_andnot_si256(lt, q));
+}
+
+/** Twiddle-multiply policies for the stage templates below. */
+struct WideMulX4
+{
+    static __m256i
+    mul(__m256i a, __m256i w, __m256i wpre, __m256i q)
+    {
+        return mulshoupx4(a, w, wpre, q);
+    }
+};
+
+struct NarrowMulX4
+{
+    static __m256i
+    mul(__m256i a, __m256i w, __m256i wpre, __m256i q)
+    {
+        return mulshoup32x4(a, w, wpre, q);
+    }
+};
+
+/**
  * Exact (z_hi·2^64 + z_lo) mod q — the reduce128() recurrence with
  * (b_hi, b_lo) = floor(2^128/q). The estimated quotient is off by at
  * most one, so the remainder needs a single conditional subtract, and
@@ -194,6 +239,7 @@ barrett128x4(__m256i z_lo, __m256i z_hi, __m256i q, __m256i b_lo,
 // ------------------------------------------------------------------
 
 /** Forward stage with t >= 4: contiguous spans, one twiddle a group. */
+template <class Mul>
 inline void
 fwdStageVecYmm(u64 *a, size_t m, size_t t, const u64 *tw,
                const u64 *twp, __m256i q)
@@ -204,7 +250,7 @@ fwdStageVecYmm(u64 *a, size_t m, size_t t, const u64 *tw,
         u64 *p = a + 2 * i * t;
         for (size_t j = 0; j < t; j += 4) {
             __m256i u = loadu256(p + j);
-            __m256i v = mulshoupx4(loadu256(p + j + t), s, sp, q);
+            __m256i v = Mul::mul(loadu256(p + j + t), s, sp, q);
             storeu256(p + j, addmodx4(u, v, q));
             storeu256(p + j + t, submodx4(u, v, q));
         }
@@ -212,6 +258,7 @@ fwdStageVecYmm(u64 *a, size_t m, size_t t, const u64 *tw,
 }
 
 /** Forward stage with t == 2 (two groups per 8 coefficients). */
+template <class Mul>
 inline void
 fwdStageT2Ymm(u64 *a, size_t m, const u64 *tw, const u64 *twp,
               __m256i q)
@@ -232,7 +279,7 @@ fwdStageT2Ymm(u64 *a, size_t m, const u64 *tw, const u64 *twp,
             _mm256_castsi128_si256(t2), 0x50);
         __m256i sp = _mm256_permute4x64_epi64(
             _mm256_castsi128_si256(tp2), 0x50);
-        __m256i w = mulshoupx4(v, s, sp, q);
+        __m256i w = Mul::mul(v, s, sp, q);
         __m256i lo = addmodx4(u, w, q);
         __m256i hi = submodx4(u, w, q);
         storeu256(p, _mm256_permute2x128_si256(lo, hi, 0x20));
@@ -241,6 +288,7 @@ fwdStageT2Ymm(u64 *a, size_t m, const u64 *tw, const u64 *twp,
 }
 
 /** Forward stage with t == 1 (four adjacent-pair butterflies). */
+template <class Mul>
 inline void
 fwdStageT1Ymm(u64 *a, size_t m, const u64 *tw, const u64 *twp,
               __m256i q)
@@ -256,7 +304,7 @@ fwdStageT1Ymm(u64 *a, size_t m, const u64 *tw, const u64 *twp,
         __m256i s = _mm256_permute4x64_epi64(loadu256(tw + m + i), 0xD8);
         __m256i sp =
             _mm256_permute4x64_epi64(loadu256(twp + m + i), 0xD8);
-        __m256i w = mulshoupx4(v, s, sp, q);
+        __m256i w = Mul::mul(v, s, sp, q);
         __m256i lo = addmodx4(u, w, q);
         __m256i hi = submodx4(u, w, q);
         storeu256(p, _mm256_unpacklo_epi64(lo, hi));
@@ -265,6 +313,7 @@ fwdStageT1Ymm(u64 *a, size_t m, const u64 *tw, const u64 *twp,
 }
 
 /** Inverse stage with t >= 4. */
+template <class Mul>
 inline void
 invStageVecYmm(u64 *a, size_t h, size_t t, const u64 *tw,
                const u64 *twp, __m256i q)
@@ -278,12 +327,13 @@ invStageVecYmm(u64 *a, size_t h, size_t t, const u64 *tw,
             __m256i v = loadu256(p + j + t);
             storeu256(p + j, addmodx4(u, v, q));
             storeu256(p + j + t,
-                      mulshoupx4(submodx4(u, v, q), s, sp, q));
+                      Mul::mul(submodx4(u, v, q), s, sp, q));
         }
     }
 }
 
 /** Inverse stage with t == 1 (GS butterfly on adjacent pairs). */
+template <class Mul>
 inline void
 invStageT1Ymm(u64 *a, size_t h, const u64 *tw, const u64 *twp,
               __m256i q)
@@ -298,13 +348,14 @@ invStageT1Ymm(u64 *a, size_t h, const u64 *tw, const u64 *twp,
         __m256i sp =
             _mm256_permute4x64_epi64(loadu256(twp + h + i), 0xD8);
         __m256i lo = addmodx4(u, v, q);
-        __m256i hi = mulshoupx4(submodx4(u, v, q), s, sp, q);
+        __m256i hi = Mul::mul(submodx4(u, v, q), s, sp, q);
         storeu256(p, _mm256_unpacklo_epi64(lo, hi));
         storeu256(p + 4, _mm256_unpackhi_epi64(lo, hi));
     }
 }
 
 /** Inverse stage with t == 2. */
+template <class Mul>
 inline void
 invStageT2Ymm(u64 *a, size_t h, const u64 *tw, const u64 *twp,
               __m256i q)
@@ -324,7 +375,7 @@ invStageT2Ymm(u64 *a, size_t h, const u64 *tw, const u64 *twp,
         __m256i sp = _mm256_permute4x64_epi64(
             _mm256_castsi128_si256(tp2), 0x50);
         __m256i lo = addmodx4(u, v, q);
-        __m256i hi = mulshoupx4(submodx4(u, v, q), s, sp, q);
+        __m256i hi = Mul::mul(submodx4(u, v, q), s, sp, q);
         storeu256(p, _mm256_permute2x128_si256(lo, hi, 0x20));
         storeu256(p + 4, _mm256_permute2x128_si256(lo, hi, 0x31));
     }
@@ -369,6 +420,7 @@ invButterflyScalar(const Modulus &mod, u64 *a, size_t h, size_t t,
 
 /** Forward stage range with t >= 4: per-block j-subranges, vector
  *  body plus scalar tail inside each block. */
+template <class Mul>
 inline void
 fwdStageRangeVecYmm(const Modulus &mod, u64 *a, size_t m, size_t t,
                     const u64 *tw, const u64 *twp, __m256i q,
@@ -385,7 +437,7 @@ fwdStageRangeVecYmm(const Modulus &mod, u64 *a, size_t m, size_t t,
         size_t j = lo;
         for (; j + 4 <= hi; j += 4) {
             __m256i u = loadu256(p + j);
-            __m256i v = mulshoupx4(loadu256(p + j + t), s, sp, q);
+            __m256i v = Mul::mul(loadu256(p + j + t), s, sp, q);
             storeu256(p + j, addmodx4(u, v, q));
             storeu256(p + j + t, submodx4(u, v, q));
         }
@@ -401,6 +453,7 @@ fwdStageRangeVecYmm(const Modulus &mod, u64 *a, size_t m, size_t t,
 /** Forward stage range with t == 2: a vector group covers two whole
  *  blocks (butterflies [2i, 2i+4)), so at most one scalar head
  *  butterfly aligns b to a block start. */
+template <class Mul>
 inline void
 fwdStageRangeT2Ymm(const Modulus &mod, u64 *a, size_t m, const u64 *tw,
                    const u64 *twp, __m256i q, size_t bLo, size_t bHi)
@@ -424,7 +477,7 @@ fwdStageRangeT2Ymm(const Modulus &mod, u64 *a, size_t m, const u64 *tw,
             _mm256_castsi128_si256(t2), 0x50);
         __m256i sp = _mm256_permute4x64_epi64(
             _mm256_castsi128_si256(tp2), 0x50);
-        __m256i w = mulshoupx4(v, s, sp, q);
+        __m256i w = Mul::mul(v, s, sp, q);
         __m256i lo = addmodx4(u, w, q);
         __m256i hi = submodx4(u, w, q);
         storeu256(p, _mm256_permute2x128_si256(lo, hi, 0x20));
@@ -437,6 +490,7 @@ fwdStageRangeT2Ymm(const Modulus &mod, u64 *a, size_t m, const u64 *tw,
 
 /** Forward stage range with t == 1: butterfly b IS block b, so vector
  *  groups of four start anywhere. */
+template <class Mul>
 inline void
 fwdStageRangeT1Ymm(const Modulus &mod, u64 *a, size_t m, const u64 *tw,
                    const u64 *twp, __m256i q, size_t bLo, size_t bHi)
@@ -451,7 +505,7 @@ fwdStageRangeT1Ymm(const Modulus &mod, u64 *a, size_t m, const u64 *tw,
         __m256i s = _mm256_permute4x64_epi64(loadu256(tw + m + b), 0xD8);
         __m256i sp =
             _mm256_permute4x64_epi64(loadu256(twp + m + b), 0xD8);
-        __m256i w = mulshoupx4(v, s, sp, q);
+        __m256i w = Mul::mul(v, s, sp, q);
         __m256i lo = addmodx4(u, w, q);
         __m256i hi = submodx4(u, w, q);
         storeu256(p, _mm256_unpacklo_epi64(lo, hi));
@@ -463,6 +517,7 @@ fwdStageRangeT1Ymm(const Modulus &mod, u64 *a, size_t m, const u64 *tw,
 }
 
 /** Inverse stage range with t >= 4. */
+template <class Mul>
 inline void
 invStageRangeVecYmm(const Modulus &mod, u64 *a, size_t h, size_t t,
                     const u64 *tw, const u64 *twp, __m256i q,
@@ -482,7 +537,7 @@ invStageRangeVecYmm(const Modulus &mod, u64 *a, size_t h, size_t t,
             __m256i v = loadu256(p + j + t);
             storeu256(p + j, addmodx4(u, v, q));
             storeu256(p + j + t,
-                      mulshoupx4(submodx4(u, v, q), s, sp, q));
+                      Mul::mul(submodx4(u, v, q), s, sp, q));
         }
         for (; j < hi; ++j) {
             u64 u = p[j];
@@ -495,6 +550,7 @@ invStageRangeVecYmm(const Modulus &mod, u64 *a, size_t h, size_t t,
 }
 
 /** Inverse stage range with t == 1. */
+template <class Mul>
 inline void
 invStageRangeT1Ymm(const Modulus &mod, u64 *a, size_t h, const u64 *tw,
                    const u64 *twp, __m256i q, size_t bLo, size_t bHi)
@@ -510,7 +566,7 @@ invStageRangeT1Ymm(const Modulus &mod, u64 *a, size_t h, const u64 *tw,
         __m256i sp =
             _mm256_permute4x64_epi64(loadu256(twp + h + b), 0xD8);
         __m256i lo = addmodx4(u, v, q);
-        __m256i hi = mulshoupx4(submodx4(u, v, q), s, sp, q);
+        __m256i hi = Mul::mul(submodx4(u, v, q), s, sp, q);
         storeu256(p, _mm256_unpacklo_epi64(lo, hi));
         storeu256(p + 4, _mm256_unpackhi_epi64(lo, hi));
     }
@@ -520,6 +576,7 @@ invStageRangeT1Ymm(const Modulus &mod, u64 *a, size_t h, const u64 *tw,
 }
 
 /** Inverse stage range with t == 2. */
+template <class Mul>
 inline void
 invStageRangeT2Ymm(const Modulus &mod, u64 *a, size_t h, const u64 *tw,
                    const u64 *twp, __m256i q, size_t bLo, size_t bHi)
@@ -544,7 +601,7 @@ invStageRangeT2Ymm(const Modulus &mod, u64 *a, size_t h, const u64 *tw,
         __m256i sp = _mm256_permute4x64_epi64(
             _mm256_castsi128_si256(tp2), 0x50);
         __m256i lo = addmodx4(u, v, q);
-        __m256i hi = mulshoupx4(submodx4(u, v, q), s, sp, q);
+        __m256i hi = Mul::mul(submodx4(u, v, q), s, sp, q);
         storeu256(p, _mm256_permute2x128_si256(lo, hi, 0x20));
         storeu256(p + 4, _mm256_permute2x128_si256(lo, hi, 0x31));
     }
@@ -555,6 +612,7 @@ invStageRangeT2Ymm(const Modulus &mod, u64 *a, size_t h, const u64 *tw,
 
 /** Final inverse stage with N^{-1} folded into both outputs (one
  *  block: h == 1, t == n/2, butterfly b == offset j). */
+template <class Mul>
 inline void
 invStageRangeFusedYmm(const Modulus &mod, u64 *a, size_t t, u64 nInv,
                       u64 nInvP, u64 sL, u64 sLp, __m256i q, size_t bLo,
@@ -568,9 +626,9 @@ invStageRangeFusedYmm(const Modulus &mod, u64 *a, size_t t, u64 nInv,
     for (; j + 4 <= bHi; j += 4) {
         __m256i u = loadu256(a + j);
         __m256i v = loadu256(a + j + t);
-        storeu256(a + j, mulshoupx4(addmodx4(u, v, q), ni, nip, q));
+        storeu256(a + j, Mul::mul(addmodx4(u, v, q), ni, nip, q));
         storeu256(a + j + t,
-                  mulshoupx4(submodx4(u, v, q), s, sp, q));
+                  Mul::mul(submodx4(u, v, q), s, sp, q));
     }
     for (; j < bHi; ++j) {
         u64 u = a[j];

@@ -157,9 +157,10 @@ struct KernelSet
     /**
      * External-product MAC over @p rows operand pairs:
      * dst[i] = (sum_r a[r][i] * b[r][i]) mod q. Products accumulate raw
-     * in 128 bits with one exact Barrett fold per kBconvChunk terms
-     * (operands < 2^62), the bconvPass2 scheme — bit-identical to a
-     * term-by-term mulAdd chain.
+     * in 128 bits with one exact fold per kBconvChunk terms (operands
+     * < 2^62), the bconvPass2 scheme — bit-identical to a term-by-term
+     * mulAdd chain. The fold is a Barrett reduction, or three 32-bit
+     * Shoup multiplies when narrowModulus(q).
      */
     void (*extProdMac)(u64 *dst, const u64 *const *a, const u64 *const *b,
                        size_t rows, const Modulus &mod, size_t n);
@@ -180,6 +181,19 @@ struct KernelSet
  * two values < 2^62 total < 2^128, so the accumulator cannot wrap.
  */
 constexpr size_t kBconvChunk = 16;
+
+/**
+ * The one switch of the narrow-modulus path: when q < 2^32 (every TFHE
+ * set runs on a prime just below 2^32), the AVX2 and AVX-512 sets run
+ * NTT butterflies as 32x32 Shoup multiplies and fold the
+ * external-product MAC with 32-bit constants. Outputs are the same
+ * canonical residues either way; the scalar set never switches.
+ */
+constexpr bool
+narrowModulus(u64 q)
+{
+    return q < (u64{1} << 32);
+}
 
 /** The bit-exact scalar set — the reference every wider set matches. */
 const KernelSet &scalarKernels();

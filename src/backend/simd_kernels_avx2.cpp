@@ -26,14 +26,11 @@ namespace simd {
 
 namespace {
 
+template <class Mul>
 void
-nttForwardAvx2(const NttTable &table, u64 *a)
+nttForwardYmm(const NttTable &table, u64 *a)
 {
     const size_t n = table.n();
-    if (n < 8) {
-        table.forward(a); // too short for the shuffle stages
-        return;
-    }
     const u64 *tw = table.psiBr().data();
     const u64 *twp = table.psiBrPrecon().data();
     const __m256i q = bcast256(table.modulus().value());
@@ -41,23 +38,20 @@ nttForwardAvx2(const NttTable &table, u64 *a)
     for (size_t m = 1; m < n; m <<= 1) {
         t >>= 1;
         if (t >= 4) {
-            fwdStageVecYmm(a, m, t, tw, twp, q);
+            fwdStageVecYmm<Mul>(a, m, t, tw, twp, q);
         } else if (t == 2) {
-            fwdStageT2Ymm(a, m, tw, twp, q);
+            fwdStageT2Ymm<Mul>(a, m, tw, twp, q);
         } else {
-            fwdStageT1Ymm(a, m, tw, twp, q);
+            fwdStageT1Ymm<Mul>(a, m, tw, twp, q);
         }
     }
 }
 
+template <class Mul>
 void
-nttInverseAvx2(const NttTable &table, u64 *a)
+nttInverseYmm(const NttTable &table, u64 *a)
 {
     const size_t n = table.n();
-    if (n < 8) {
-        table.inverse(a);
-        return;
-    }
     const u64 *tw = table.ipsiBr().data();
     const u64 *twp = table.ipsiBrPrecon().data();
     const __m256i q = bcast256(table.modulus().value());
@@ -65,30 +59,27 @@ nttInverseAvx2(const NttTable &table, u64 *a)
     for (size_t m = n; m > 2; m >>= 1) {
         size_t h = m >> 1;
         if (t >= 4) {
-            invStageVecYmm(a, h, t, tw, twp, q);
+            invStageVecYmm<Mul>(a, h, t, tw, twp, q);
         } else if (t == 2) {
-            invStageT2Ymm(a, h, tw, twp, q);
+            invStageT2Ymm<Mul>(a, h, tw, twp, q);
         } else {
-            invStageT1Ymm(a, h, tw, twp, q);
+            invStageT1Ymm<Mul>(a, h, tw, twp, q);
         }
         t <<= 1;
     }
     // Final stage with N^{-1} folded into both outputs — replaces the
     // separate whole-vector scaling pass (exact, so bit-identical).
-    invStageRangeFusedYmm(table.modulus(), a, n / 2, table.nInv(),
-                          table.nInvPrecon(), table.ipsiLastScaled(),
-                          table.ipsiLastScaledPrecon(), q, 0, n / 2);
+    invStageRangeFusedYmm<Mul>(table.modulus(), a, n / 2, table.nInv(),
+                               table.nInvPrecon(), table.ipsiLastScaled(),
+                               table.ipsiLastScaledPrecon(), q, 0, n / 2);
 }
 
+template <class Mul>
 void
-nttForwardStagesAvx2(const NttTable &table, u64 *a, size_t stage_lo,
-                     size_t stage_hi, size_t b_lo, size_t b_hi)
+nttForwardStagesYmm(const NttTable &table, u64 *a, size_t stage_lo,
+                    size_t stage_hi, size_t b_lo, size_t b_hi)
 {
     const size_t n = table.n();
-    if (n < 8) {
-        table.forwardStages(a, stage_lo, stage_hi, b_lo, b_hi);
-        return;
-    }
     const Modulus &mod = table.modulus();
     const u64 *tw = table.psiBr().data();
     const u64 *twp = table.psiBrPrecon().data();
@@ -97,25 +88,23 @@ nttForwardStagesAvx2(const NttTable &table, u64 *a, size_t stage_lo,
         size_t m = size_t{1} << s;
         size_t t = n >> (s + 1);
         if (t >= 4) {
-            fwdStageRangeVecYmm(mod, a, m, t, tw, twp, q, b_lo, b_hi);
+            fwdStageRangeVecYmm<Mul>(mod, a, m, t, tw, twp, q, b_lo,
+                                     b_hi);
         } else if (t == 2) {
-            fwdStageRangeT2Ymm(mod, a, m, tw, twp, q, b_lo, b_hi);
+            fwdStageRangeT2Ymm<Mul>(mod, a, m, tw, twp, q, b_lo, b_hi);
         } else {
-            fwdStageRangeT1Ymm(mod, a, m, tw, twp, q, b_lo, b_hi);
+            fwdStageRangeT1Ymm<Mul>(mod, a, m, tw, twp, q, b_lo, b_hi);
         }
     }
 }
 
+template <class Mul>
 void
-nttInverseStagesAvx2(const NttTable &table, u64 *a, size_t stage_lo,
-                     size_t stage_hi, size_t b_lo, size_t b_hi,
-                     bool scale_n)
+nttInverseStagesYmm(const NttTable &table, u64 *a, size_t stage_lo,
+                    size_t stage_hi, size_t b_lo, size_t b_hi,
+                    bool scale_n)
 {
     const size_t n = table.n();
-    if (n < 8) {
-        table.inverseStages(a, stage_lo, stage_hi, b_lo, b_hi, scale_n);
-        return;
-    }
     const Modulus &mod = table.modulus();
     const u64 *tw = table.ipsiBr().data();
     const u64 *twp = table.ipsiBrPrecon().data();
@@ -127,18 +116,74 @@ nttInverseStagesAvx2(const NttTable &table, u64 *a, size_t stage_lo,
         if (scale_n && s + 1 == logn) {
             // Final stage: one block (h == 1, t == n/2) with N^{-1}
             // folded into both butterfly outputs.
-            invStageRangeFusedYmm(mod, a, t, table.nInv(),
-                                  table.nInvPrecon(),
-                                  table.ipsiLastScaled(),
-                                  table.ipsiLastScaledPrecon(), q, b_lo,
-                                  b_hi);
+            invStageRangeFusedYmm<Mul>(mod, a, t, table.nInv(),
+                                       table.nInvPrecon(),
+                                       table.ipsiLastScaled(),
+                                       table.ipsiLastScaledPrecon(), q,
+                                       b_lo, b_hi);
         } else if (t >= 4) {
-            invStageRangeVecYmm(mod, a, h, t, tw, twp, q, b_lo, b_hi);
+            invStageRangeVecYmm<Mul>(mod, a, h, t, tw, twp, q, b_lo,
+                                     b_hi);
         } else if (t == 2) {
-            invStageRangeT2Ymm(mod, a, h, tw, twp, q, b_lo, b_hi);
+            invStageRangeT2Ymm<Mul>(mod, a, h, tw, twp, q, b_lo, b_hi);
         } else {
-            invStageRangeT1Ymm(mod, a, h, tw, twp, q, b_lo, b_hi);
+            invStageRangeT1Ymm<Mul>(mod, a, h, tw, twp, q, b_lo, b_hi);
         }
+    }
+}
+
+void
+nttForwardAvx2(const NttTable &table, u64 *a)
+{
+    if (table.n() < 8) {
+        table.forward(a); // too short for the shuffle stages
+    } else if (narrowModulus(table.modulus().value())) {
+        nttForwardYmm<NarrowMulX4>(table, a);
+    } else {
+        nttForwardYmm<WideMulX4>(table, a);
+    }
+}
+
+void
+nttInverseAvx2(const NttTable &table, u64 *a)
+{
+    if (table.n() < 8) {
+        table.inverse(a);
+    } else if (narrowModulus(table.modulus().value())) {
+        nttInverseYmm<NarrowMulX4>(table, a);
+    } else {
+        nttInverseYmm<WideMulX4>(table, a);
+    }
+}
+
+void
+nttForwardStagesAvx2(const NttTable &table, u64 *a, size_t stage_lo,
+                     size_t stage_hi, size_t b_lo, size_t b_hi)
+{
+    if (table.n() < 8) {
+        table.forwardStages(a, stage_lo, stage_hi, b_lo, b_hi);
+    } else if (narrowModulus(table.modulus().value())) {
+        nttForwardStagesYmm<NarrowMulX4>(table, a, stage_lo, stage_hi,
+                                         b_lo, b_hi);
+    } else {
+        nttForwardStagesYmm<WideMulX4>(table, a, stage_lo, stage_hi, b_lo,
+                                       b_hi);
+    }
+}
+
+void
+nttInverseStagesAvx2(const NttTable &table, u64 *a, size_t stage_lo,
+                     size_t stage_hi, size_t b_lo, size_t b_hi,
+                     bool scale_n)
+{
+    if (table.n() < 8) {
+        table.inverseStages(a, stage_lo, stage_hi, b_lo, b_hi, scale_n);
+    } else if (narrowModulus(table.modulus().value())) {
+        nttInverseStagesYmm<NarrowMulX4>(table, a, stage_lo, stage_hi,
+                                         b_lo, b_hi, scale_n);
+    } else {
+        nttInverseStagesYmm<WideMulX4>(table, a, stage_lo, stage_hi, b_lo,
+                                       b_hi, scale_n);
     }
 }
 
@@ -474,9 +519,17 @@ extProdMacAvx2(u64 *dst, const u64 *const *a, const u64 *const *b,
     const __m256i b_hi = bcast256(mod.barrettHi());
     const __m256i one = bcast256(1);
     const __m256i zero = _mm256_setzero_si256();
-    // Operands below 2^32 (q <= 2^32, every TFHE set) multiply in one
-    // 32x32 -> 64 lane op; wider moduli take the full 64x64 product.
-    const bool narrow = mod.value() <= (u64(1) << 32);
+    // Narrow moduli (every TFHE set) multiply operands in one 32x32 ->
+    // 64 lane op and fold each chunk with three 32-bit Shoup
+    // multiplies; wider moduli take the full 64x64 product and a
+    // Barrett fold.
+    const bool narrow = narrowModulus(mod.value());
+    const NarrowMacFold f(mod);
+    const __m256i one_pre = bcast256(f.onePre);
+    const __m256i c32 = bcast256(f.c32);
+    const __m256i c32_pre = bcast256(f.c32Pre);
+    const __m256i c64 = bcast256(f.c64);
+    const __m256i c64_pre = bcast256(f.c64Pre);
     size_t c = 0;
     for (; c + 4 <= n; c += 4) {
         __m256i r = zero;
@@ -502,8 +555,17 @@ extProdMacAvx2(u64 *dst, const u64 *const *a, const u64 *const *b,
                 acc_hi = _mm256_add_epi64(acc_hi,
                                           _mm256_add_epi64(z_hi, carry));
             }
-            r = addmodx4(r, barrett128x4(acc_lo, acc_hi, q, b_lo, b_hi),
-                         q);
+            if (narrow) {
+                // mul_epu32 reads only the low half of acc_lo: z0.
+                __m256i r0 = mulshoup32x4(acc_lo, one, one_pre, q);
+                __m256i r1 = mulshoup32x4(_mm256_srli_epi64(acc_lo, 32),
+                                          c32, c32_pre, q);
+                __m256i r2 = mulshoup32x4(acc_hi, c64, c64_pre, q);
+                r = addmodx4(r, addmodx4(addmodx4(r0, r1, q), r2, q), q);
+            } else {
+                r = addmodx4(r,
+                             barrett128x4(acc_lo, acc_hi, q, b_lo, b_hi), q);
+            }
         }
         storeu256(dst + c, r);
     }

@@ -7,14 +7,33 @@
  * DQ's native 64-bit mullo plus mask registers shrink the modular
  * primitives; the 64x64 high half is still composed from 32x32
  * partials (no general mulhi_epu64 exists — IFMA would cap moduli at
- * 52 bits, below this repo's 62-bit bound). Butterfly spans narrower
- * than 8 lanes (t ∈ {1,2,4}) run the shared 256-bit stage kernels
- * from simd_avx_inl.h, so the whole network stays vectorized.
+ * 52 bits, below this repo's 62-bit bound). For wide moduli, butterfly
+ * spans narrower than 8 lanes (t ∈ {1,2,4}) run the shared 256-bit
+ * stage kernels from simd_avx_inl.h, so the whole network stays
+ * vectorized.
+ *
+ * Narrow-modulus path (simd::narrowModulus: q < 2^32, n >= 16; every
+ * TFHE set). Operands are residues < q < 2^32, so:
+ *  - a twiddle multiply is a Shoup multiply on three `mul_epu32`
+ *    (a·w' for the quotient, a·w and quot·q for the remainder) with
+ *    w' = twp >> 32 = floor(w·2^32/q) taken from the same tables;
+ *  - the remainder is < 2q < 2^33 and so are sums a + b; one
+ *    min_epu64(r, r − q) reduces either (r − q wraps above r when
+ *    r < q), and a − b reduces as min_epu64(d, d + q);
+ *  - the t ∈ {1,2,4} stages run on zmm too: each 16-coefficient group
+ *    (8 butterflies) is gathered into u/v halves with permutex2var,
+ *    its twiddles spread with permutexvar, and scattered back;
+ *  - the external-product MAC folds each lazy chunk sum with three
+ *    32-bit Shoup multiplies (NarrowMacFold) instead of barrett128x8.
+ * Every output is the canonical residue, as on the wide path, so the
+ * two paths are bit-identical to each other and to the scalar set.
  */
 
 #include "backend/simd_kernels.h"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
+
+#include <bit>
 
 #include <immintrin.h>
 
@@ -136,8 +155,58 @@ barrett128x8(__m512i z_lo, __m512i z_hi, __m512i q, __m512i b_lo,
     return _mm512_mask_sub_epi64(r, ge, r, q);
 }
 
+/**
+ * Shoup multiply for q < 2^32: a < 2^32, w < q, wpre the 64-bit
+ * shoupPrecompute(w) (its high half is the 32-bit preconditioner).
+ */
+inline __m512i
+mulshoup32x8(__m512i a, __m512i w, __m512i wpre, __m512i q)
+{
+    __m512i quot = _mm512_srli_epi64(
+        _mm512_mul_epu32(a, _mm512_srli_epi64(wpre, 32)), 32);
+    __m512i r = _mm512_sub_epi64(_mm512_mul_epu32(a, w),
+                                 _mm512_mul_epu32(quot, q));
+    return _mm512_min_epu64(r, _mm512_sub_epi64(r, q));
+}
+
+/** Butterfly arithmetic policies for the zmm stage templates. */
+struct WideZmm
+{
+    static __m512i add(__m512i a, __m512i b, __m512i q)
+    {
+        return addmodx8(a, b, q);
+    }
+    static __m512i sub(__m512i a, __m512i b, __m512i q)
+    {
+        return submodx8(a, b, q);
+    }
+    static __m512i mul(__m512i a, __m512i w, __m512i wpre, __m512i q)
+    {
+        return mulshoupx8(a, w, wpre, q);
+    }
+};
+
+struct NarrowZmm
+{
+    static __m512i add(__m512i a, __m512i b, __m512i q)
+    {
+        __m512i s = _mm512_add_epi64(a, b);
+        return _mm512_min_epu64(s, _mm512_sub_epi64(s, q));
+    }
+    static __m512i sub(__m512i a, __m512i b, __m512i q)
+    {
+        __m512i d = _mm512_sub_epi64(a, b);
+        return _mm512_min_epu64(d, _mm512_add_epi64(d, q));
+    }
+    static __m512i mul(__m512i a, __m512i w, __m512i wpre, __m512i q)
+    {
+        return mulshoup32x8(a, w, wpre, q);
+    }
+};
+
 /** Forward stage range with t >= 8: zmm lanes, per-block j-subranges
  *  (vector body + scalar tail; unaligned loads allow any start). */
+template <class A>
 inline void
 fwdStageRangeVecZmm(const Modulus &mod, u64 *a, size_t m, size_t t,
                     const u64 *tw, const u64 *twp, __m512i q,
@@ -154,9 +223,9 @@ fwdStageRangeVecZmm(const Modulus &mod, u64 *a, size_t m, size_t t,
         size_t j = lo;
         for (; j + 8 <= hi; j += 8) {
             __m512i u = loadu512(p + j);
-            __m512i v = mulshoupx8(loadu512(p + j + t), s, sp, q);
-            storeu512(p + j, addmodx8(u, v, q));
-            storeu512(p + j + t, submodx8(u, v, q));
+            __m512i v = A::mul(loadu512(p + j + t), s, sp, q);
+            storeu512(p + j, A::add(u, v, q));
+            storeu512(p + j + t, A::sub(u, v, q));
         }
         for (; j < hi; ++j) {
             u64 u = p[j];
@@ -168,6 +237,7 @@ fwdStageRangeVecZmm(const Modulus &mod, u64 *a, size_t m, size_t t,
 }
 
 /** Inverse stage range with t >= 8. */
+template <class A>
 inline void
 invStageRangeVecZmm(const Modulus &mod, u64 *a, size_t h, size_t t,
                     const u64 *tw, const u64 *twp, __m512i q,
@@ -185,9 +255,8 @@ invStageRangeVecZmm(const Modulus &mod, u64 *a, size_t h, size_t t,
         for (; j + 8 <= hi; j += 8) {
             __m512i u = loadu512(p + j);
             __m512i v = loadu512(p + j + t);
-            storeu512(p + j, addmodx8(u, v, q));
-            storeu512(p + j + t,
-                      mulshoupx8(submodx8(u, v, q), s, sp, q));
+            storeu512(p + j, A::add(u, v, q));
+            storeu512(p + j + t, A::mul(A::sub(u, v, q), s, sp, q));
         }
         for (; j < hi; ++j) {
             u64 u = p[j];
@@ -201,6 +270,7 @@ invStageRangeVecZmm(const Modulus &mod, u64 *a, size_t h, size_t t,
 
 /** Final inverse stage (one block, t == n/2 >= 8) with N^{-1} folded
  *  into both butterfly outputs. */
+template <class A>
 inline void
 invStageRangeFusedZmm(const Modulus &mod, u64 *a, size_t t, u64 nInv,
                       u64 nInvP, u64 sL, u64 sLp, __m512i q, size_t bLo,
@@ -214,9 +284,8 @@ invStageRangeFusedZmm(const Modulus &mod, u64 *a, size_t t, u64 nInv,
     for (; j + 8 <= bHi; j += 8) {
         __m512i u = loadu512(a + j);
         __m512i v = loadu512(a + j + t);
-        storeu512(a + j, mulshoupx8(addmodx8(u, v, q), ni, nip, q));
-        storeu512(a + j + t,
-                  mulshoupx8(submodx8(u, v, q), s, sp, q));
+        storeu512(a + j, A::mul(A::add(u, v, q), ni, nip, q));
+        storeu512(a + j + t, A::mul(A::sub(u, v, q), s, sp, q));
     }
     for (; j < bHi; ++j) {
         u64 u = a[j];
@@ -226,12 +295,191 @@ invStageRangeFusedZmm(const Modulus &mod, u64 *a, size_t t, u64 nInv,
     }
 }
 
+/**
+ * Lane maps of one 16-coefficient group of a stage with span t < 8.
+ * Lane k is butterfly k of the group: block k/t, offset k%t, so it
+ * pairs coefficients u[k] = 2t·(k/t) + k%t and v[k] = u[k] + t and
+ * takes the group's twiddle tw[k] = k/t. lo/hi are the permutex2var
+ * indices that scatter the outputs back: coefficient c < 8 of the
+ * group is lo[c], c >= 8 is hi[c-8], where index k names lane k of
+ * out_u and 8+k lane k of out_v.
+ */
+struct SmallStageMap
+{
+    alignas(64) u64 u[8];
+    alignas(64) u64 v[8];
+    alignas(64) u64 lo[8];
+    alignas(64) u64 hi[8];
+    alignas(64) u64 tw[8];
+};
+
+constexpr SmallStageMap
+makeSmallStageMap(size_t t)
+{
+    SmallStageMap mp{};
+    u64 out[16] = {};
+    for (size_t k = 0; k < 8; ++k) {
+        mp.u[k] = 2 * t * (k / t) + k % t;
+        mp.v[k] = mp.u[k] + t;
+        mp.tw[k] = k / t;
+        out[mp.u[k]] = k;
+        out[mp.v[k]] = 8 + k;
+    }
+    for (size_t c = 0; c < 8; ++c) {
+        mp.lo[c] = out[c];
+        mp.hi[c] = out[8 + c];
+    }
+    return mp;
+}
+
+/** Maps for t = 1, 2, 4, indexed by log2(t). */
+constexpr SmallStageMap kSmallStageMaps[3] = {
+    makeSmallStageMap(1), makeSmallStageMap(2), makeSmallStageMap(4)};
+
+/** Loaded lane maps plus the twiddle-load mask (8/t entries). */
+struct SmallStageIdx
+{
+    __m512i u, v, lo, hi, tw;
+    __mmask8 twMask;
+
+    explicit SmallStageIdx(size_t t)
+    {
+        const SmallStageMap &mp = kSmallStageMaps[std::countr_zero(t)];
+        u = _mm512_load_si512(mp.u);
+        v = _mm512_load_si512(mp.v);
+        lo = _mm512_load_si512(mp.lo);
+        hi = _mm512_load_si512(mp.hi);
+        tw = _mm512_load_si512(mp.tw);
+        twMask = static_cast<__mmask8>((1u << (8 / t)) - 1);
+    }
+};
+
+/**
+ * Narrow stage range with t ∈ {1,2,4} on zmm: vector groups of eight
+ * butterflies start at block boundaries (group at butterfly b covers
+ * coefficients [2b, 2b+16) and twiddles [b/t, b/t + 8/t)); scalar
+ * butterflies cover the unaligned head and the short tail. Forward
+ * runs CT butterflies (@p Fwd), inverse runs GS.
+ */
+template <bool Fwd>
+inline void
+stageRangeSmallZmm(const Modulus &mod, u64 *a, size_t m, size_t t,
+                   const u64 *tw, const u64 *twp, __m512i q, size_t bLo,
+                   size_t bHi)
+{
+    using A = NarrowZmm;
+    const SmallStageIdx idx(t);
+    auto scalar = [&](size_t b) {
+        if (Fwd) {
+            fwdButterflyScalar(mod, a, m, t, tw, twp, b);
+        } else {
+            invButterflyScalar(mod, a, m, t, tw, twp, b);
+        }
+    };
+    size_t b = bLo;
+    for (; b < bHi && b % t != 0; ++b) {
+        scalar(b);
+    }
+    for (; b + 8 <= bHi; b += 8) {
+        u64 *p = a + 2 * b;
+        const size_t i = m + b / t;
+        __m512i x = loadu512(p);
+        __m512i y = loadu512(p + 8);
+        __m512i u = _mm512_permutex2var_epi64(x, idx.u, y);
+        __m512i v = _mm512_permutex2var_epi64(x, idx.v, y);
+        __m512i s = _mm512_permutexvar_epi64(
+            idx.tw, _mm512_maskz_loadu_epi64(idx.twMask, tw + i));
+        __m512i sp = _mm512_permutexvar_epi64(
+            idx.tw, _mm512_maskz_loadu_epi64(idx.twMask, twp + i));
+        __m512i out_u;
+        __m512i out_v;
+        if (Fwd) {
+            __m512i w = A::mul(v, s, sp, q);
+            out_u = A::add(u, w, q);
+            out_v = A::sub(u, w, q);
+        } else {
+            out_u = A::add(u, v, q);
+            out_v = A::mul(A::sub(u, v, q), s, sp, q);
+        }
+        storeu512(p, _mm512_permutex2var_epi64(out_u, idx.lo, out_v));
+        storeu512(p + 8, _mm512_permutex2var_epi64(out_u, idx.hi, out_v));
+    }
+    for (; b < bHi; ++b) {
+        scalar(b);
+    }
+}
+
+/** True when @p table runs the narrow zmm network (needs n >= 16 for
+ *  one whole 16-coefficient group). */
+inline bool
+narrowTable(const NttTable &table)
+{
+    return narrowModulus(table.modulus().value()) && table.n() >= 16;
+}
+
+/** Narrow forward stage range: every stage on zmm. The monolithic
+ *  transform is the full range [0, logn) x [0, n/2). */
+void
+nttForwardStagesNarrow(const NttTable &table, u64 *a, size_t stage_lo,
+                       size_t stage_hi, size_t b_lo, size_t b_hi)
+{
+    const size_t n = table.n();
+    const Modulus &mod = table.modulus();
+    const u64 *tw = table.psiBr().data();
+    const u64 *twp = table.psiBrPrecon().data();
+    const __m512i q = bcast512(mod.value());
+    for (size_t s = stage_lo; s < stage_hi; ++s) {
+        size_t m = size_t{1} << s;
+        size_t t = n >> (s + 1);
+        if (t >= 8) {
+            fwdStageRangeVecZmm<NarrowZmm>(mod, a, m, t, tw, twp, q, b_lo,
+                                           b_hi);
+        } else {
+            stageRangeSmallZmm<true>(mod, a, m, t, tw, twp, q, b_lo, b_hi);
+        }
+    }
+}
+
+/** Narrow inverse stage range; the final stage (t = n/2 >= 8) folds
+ *  N^{-1} when scale_n is set. */
+void
+nttInverseStagesNarrow(const NttTable &table, u64 *a, size_t stage_lo,
+                       size_t stage_hi, size_t b_lo, size_t b_hi,
+                       bool scale_n)
+{
+    const size_t n = table.n();
+    const Modulus &mod = table.modulus();
+    const u64 *tw = table.ipsiBr().data();
+    const u64 *twp = table.ipsiBrPrecon().data();
+    const __m512i q = bcast512(mod.value());
+    for (size_t s = stage_lo; s < stage_hi; ++s) {
+        size_t h = n >> (s + 1);
+        size_t t = size_t{1} << s;
+        if (scale_n && s + 1 == table.logn()) {
+            invStageRangeFusedZmm<NarrowZmm>(
+                mod, a, t, table.nInv(), table.nInvPrecon(),
+                table.ipsiLastScaled(), table.ipsiLastScaledPrecon(), q,
+                b_lo, b_hi);
+        } else if (t >= 8) {
+            invStageRangeVecZmm<NarrowZmm>(mod, a, h, t, tw, twp, q, b_lo,
+                                           b_hi);
+        } else {
+            stageRangeSmallZmm<false>(mod, a, h, t, tw, twp, q, b_lo,
+                                      b_hi);
+        }
+    }
+}
+
 void
 nttForwardAvx512(const NttTable &table, u64 *a)
 {
     const size_t n = table.n();
     if (n < 8) {
         table.forward(a);
+        return;
+    }
+    if (narrowTable(table)) {
+        nttForwardStagesNarrow(table, a, 0, table.logn(), 0, n / 2);
         return;
     }
     const u64 *tw = table.psiBr().data();
@@ -255,11 +503,11 @@ nttForwardAvx512(const NttTable &table, u64 *a)
                 }
             }
         } else if (t == 4) {
-            fwdStageVecYmm(a, m, t, tw, twp, q4);
+            fwdStageVecYmm<WideMulX4>(a, m, t, tw, twp, q4);
         } else if (t == 2) {
-            fwdStageT2Ymm(a, m, tw, twp, q4);
+            fwdStageT2Ymm<WideMulX4>(a, m, tw, twp, q4);
         } else {
-            fwdStageT1Ymm(a, m, tw, twp, q4);
+            fwdStageT1Ymm<WideMulX4>(a, m, tw, twp, q4);
         }
     }
 }
@@ -270,6 +518,10 @@ nttInverseAvx512(const NttTable &table, u64 *a)
     const size_t n = table.n();
     if (n < 8) {
         table.inverse(a);
+        return;
+    }
+    if (narrowTable(table)) {
+        nttInverseStagesNarrow(table, a, 0, table.logn(), 0, n / 2, true);
         return;
     }
     const u64 *tw = table.ipsiBr().data();
@@ -293,11 +545,11 @@ nttInverseAvx512(const NttTable &table, u64 *a)
                 }
             }
         } else if (t == 4) {
-            invStageVecYmm(a, h, t, tw, twp, q4);
+            invStageVecYmm<WideMulX4>(a, h, t, tw, twp, q4);
         } else if (t == 2) {
-            invStageT2Ymm(a, h, tw, twp, q4);
+            invStageT2Ymm<WideMulX4>(a, h, tw, twp, q4);
         } else {
-            invStageT1Ymm(a, h, tw, twp, q4);
+            invStageT1Ymm<WideMulX4>(a, h, tw, twp, q4);
         }
         t <<= 1;
         if (m == 4) {
@@ -307,17 +559,17 @@ nttInverseAvx512(const NttTable &table, u64 *a)
     // Final stage with N^{-1} folded into both outputs — replaces the
     // separate whole-vector scaling pass (exact, so bit-identical).
     if (n / 2 >= 8) {
-        invStageRangeFusedZmm(table.modulus(), a, n / 2, table.nInv(),
-                              table.nInvPrecon(),
-                              table.ipsiLastScaled(),
-                              table.ipsiLastScaledPrecon(), q, 0,
-                              n / 2);
+        invStageRangeFusedZmm<WideZmm>(table.modulus(), a, n / 2,
+                                       table.nInv(), table.nInvPrecon(),
+                                       table.ipsiLastScaled(),
+                                       table.ipsiLastScaledPrecon(), q, 0,
+                                       n / 2);
     } else {
-        invStageRangeFusedYmm(table.modulus(), a, n / 2, table.nInv(),
-                              table.nInvPrecon(),
-                              table.ipsiLastScaled(),
-                              table.ipsiLastScaledPrecon(), q4, 0,
-                              n / 2);
+        invStageRangeFusedYmm<WideMulX4>(table.modulus(), a, n / 2,
+                                         table.nInv(), table.nInvPrecon(),
+                                         table.ipsiLastScaled(),
+                                         table.ipsiLastScaledPrecon(), q4,
+                                         0, n / 2);
     }
 }
 
@@ -330,6 +582,10 @@ nttForwardStagesAvx512(const NttTable &table, u64 *a, size_t stage_lo,
         table.forwardStages(a, stage_lo, stage_hi, b_lo, b_hi);
         return;
     }
+    if (narrowTable(table)) {
+        nttForwardStagesNarrow(table, a, stage_lo, stage_hi, b_lo, b_hi);
+        return;
+    }
     const Modulus &mod = table.modulus();
     const u64 *tw = table.psiBr().data();
     const u64 *twp = table.psiBrPrecon().data();
@@ -339,13 +595,17 @@ nttForwardStagesAvx512(const NttTable &table, u64 *a, size_t stage_lo,
         size_t m = size_t{1} << s;
         size_t t = n >> (s + 1);
         if (t >= 8) {
-            fwdStageRangeVecZmm(mod, a, m, t, tw, twp, q, b_lo, b_hi);
+            fwdStageRangeVecZmm<WideZmm>(mod, a, m, t, tw, twp, q, b_lo,
+                                         b_hi);
         } else if (t == 4) {
-            fwdStageRangeVecYmm(mod, a, m, t, tw, twp, q4, b_lo, b_hi);
+            fwdStageRangeVecYmm<WideMulX4>(mod, a, m, t, tw, twp, q4, b_lo,
+                                           b_hi);
         } else if (t == 2) {
-            fwdStageRangeT2Ymm(mod, a, m, tw, twp, q4, b_lo, b_hi);
+            fwdStageRangeT2Ymm<WideMulX4>(mod, a, m, tw, twp, q4, b_lo,
+                                          b_hi);
         } else {
-            fwdStageRangeT1Ymm(mod, a, m, tw, twp, q4, b_lo, b_hi);
+            fwdStageRangeT1Ymm<WideMulX4>(mod, a, m, tw, twp, q4, b_lo,
+                                          b_hi);
         }
     }
 }
@@ -360,6 +620,11 @@ nttInverseStagesAvx512(const NttTable &table, u64 *a, size_t stage_lo,
         table.inverseStages(a, stage_lo, stage_hi, b_lo, b_hi, scale_n);
         return;
     }
+    if (narrowTable(table)) {
+        nttInverseStagesNarrow(table, a, stage_lo, stage_hi, b_lo, b_hi,
+                               scale_n);
+        return;
+    }
     const Modulus &mod = table.modulus();
     const u64 *tw = table.ipsiBr().data();
     const u64 *twp = table.ipsiBrPrecon().data();
@@ -371,26 +636,28 @@ nttInverseStagesAvx512(const NttTable &table, u64 *a, size_t stage_lo,
         size_t t = size_t{1} << s;
         if (scale_n && s + 1 == logn) {
             if (t >= 8) {
-                invStageRangeFusedZmm(mod, a, t, table.nInv(),
-                                      table.nInvPrecon(),
-                                      table.ipsiLastScaled(),
-                                      table.ipsiLastScaledPrecon(), q,
-                                      b_lo, b_hi);
+                invStageRangeFusedZmm<WideZmm>(
+                    mod, a, t, table.nInv(), table.nInvPrecon(),
+                    table.ipsiLastScaled(), table.ipsiLastScaledPrecon(),
+                    q, b_lo, b_hi);
             } else {
-                invStageRangeFusedYmm(mod, a, t, table.nInv(),
-                                      table.nInvPrecon(),
-                                      table.ipsiLastScaled(),
-                                      table.ipsiLastScaledPrecon(), q4,
-                                      b_lo, b_hi);
+                invStageRangeFusedYmm<WideMulX4>(
+                    mod, a, t, table.nInv(), table.nInvPrecon(),
+                    table.ipsiLastScaled(), table.ipsiLastScaledPrecon(),
+                    q4, b_lo, b_hi);
             }
         } else if (t >= 8) {
-            invStageRangeVecZmm(mod, a, h, t, tw, twp, q, b_lo, b_hi);
+            invStageRangeVecZmm<WideZmm>(mod, a, h, t, tw, twp, q, b_lo,
+                                         b_hi);
         } else if (t == 4) {
-            invStageRangeVecYmm(mod, a, h, t, tw, twp, q4, b_lo, b_hi);
+            invStageRangeVecYmm<WideMulX4>(mod, a, h, t, tw, twp, q4, b_lo,
+                                           b_hi);
         } else if (t == 2) {
-            invStageRangeT2Ymm(mod, a, h, tw, twp, q4, b_lo, b_hi);
+            invStageRangeT2Ymm<WideMulX4>(mod, a, h, tw, twp, q4, b_lo,
+                                          b_hi);
         } else {
-            invStageRangeT1Ymm(mod, a, h, tw, twp, q4, b_lo, b_hi);
+            invStageRangeT1Ymm<WideMulX4>(mod, a, h, tw, twp, q4, b_lo,
+                                          b_hi);
         }
     }
 }
@@ -732,9 +999,17 @@ extProdMacAvx512(u64 *dst, const u64 *const *a, const u64 *const *b,
     const __m512i b_hi = bcast512(mod.barrettHi());
     const __m512i one = bcast512(1);
     const __m512i zero = _mm512_setzero_si512();
-    // Operands below 2^32 (q <= 2^32, every TFHE set) multiply in one
-    // 32x32 -> 64 lane op; wider moduli take the full 64x64 product.
-    const bool narrow = mod.value() <= (u64(1) << 32);
+    // Narrow moduli (every TFHE set) multiply operands in one 32x32 ->
+    // 64 lane op and fold each chunk with three 32-bit Shoup
+    // multiplies; wider moduli take the full 64x64 product and a
+    // Barrett fold.
+    const bool narrow = narrowModulus(mod.value());
+    const NarrowMacFold f(mod);
+    const __m512i one_pre = bcast512(f.onePre);
+    const __m512i c32 = bcast512(f.c32);
+    const __m512i c32_pre = bcast512(f.c32Pre);
+    const __m512i c64 = bcast512(f.c64);
+    const __m512i c64_pre = bcast512(f.c64Pre);
     size_t c = 0;
     for (; c + 8 <= n; c += 8) {
         __m512i r = zero;
@@ -758,8 +1033,18 @@ extProdMacAvx512(u64 *dst, const u64 *const *a, const u64 *const *b,
                 acc_lo = s;
                 acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi, one);
             }
-            r = addmodx8(r, barrett128x8(acc_lo, acc_hi, q, b_lo, b_hi),
-                         q);
+            if (narrow) {
+                // mul_epu32 reads only the low half of acc_lo: z0.
+                __m512i r0 = mulshoup32x8(acc_lo, one, one_pre, q);
+                __m512i r1 = mulshoup32x8(_mm512_srli_epi64(acc_lo, 32),
+                                          c32, c32_pre, q);
+                __m512i r2 = mulshoup32x8(acc_hi, c64, c64_pre, q);
+                r = NarrowZmm::add(
+                    r, NarrowZmm::add(NarrowZmm::add(r0, r1, q), r2, q), q);
+            } else {
+                r = addmodx8(r,
+                             barrett128x8(acc_lo, acc_hi, q, b_lo, b_hi), q);
+            }
         }
         storeu512(dst + c, r);
     }

@@ -93,6 +93,31 @@ extProdMacScalarFrom(u64 *dst, const u64 *const *a, const u64 *const *b,
     }
 }
 
+/**
+ * Constants of the narrow external-product MAC fold (q < 2^32). A lazy
+ * chunk sum acc_hi·2^64 + z1·2^32 + z0 is folded as
+ * acc_hi·(2^64 mod q) + z1·(2^32 mod q) + z0·1, each term one 32-bit
+ * Shoup multiply (preconditioners are the 64-bit shoupPrecompute; the
+ * vector multiply uses their high half). Every piece is < 2^32 —
+ * acc_hi < kBconvChunk — so each remainder is < 2q < 2^33.
+ */
+struct NarrowMacFold
+{
+    u64 onePre = 0, c32 = 0, c32Pre = 0, c64 = 0, c64Pre = 0;
+
+    /** All zero when @p mod is not narrow (the fold is then unused). */
+    explicit NarrowMacFold(const Modulus &mod)
+    {
+        if (narrowModulus(mod.value())) {
+            onePre = mod.shoupPrecompute(1);
+            c32 = (u64{1} << 32) % mod.value();
+            c32Pre = mod.shoupPrecompute(c32);
+            c64 = mod.mul(c32, c32);
+            c64Pre = mod.shoupPrecompute(c64);
+        }
+    }
+};
+
 /** Scalar keyswitch accumulate of row[x0, n) for one digit. */
 inline void
 lweKsAccumulateScalarFrom(i64 *acc, i64 digit, const u64 *row, size_t x0,

@@ -6,6 +6,7 @@
 #include "backend/observer.h"
 #include "backend/registry.h"
 #include "common/logging.h"
+#include "obs/trace.h"
 
 namespace trinity {
 
@@ -299,12 +300,19 @@ TfheBootstrapper::blindRotateBatch(const LweCiphertext *const *cts,
     }
     auto stream = activeBackend().newStream();
     std::vector<u64> rot(count);
-    for (size_t i = 0; i < bsk.bsk.size(); ++i) {
-        for (size_t j = 0; j < count; ++j) {
-            rot[j] = modSwitch(cts[j]->a[i]);
+    {
+        // The record phase runs serially on this thread before any
+        // command executes; the span makes that share of a batch
+        // visible next to the stream's own command spans.
+        obs::TraceSpan span("recordBlindRotate", "tfhe", "tfhe",
+                            "requests", count);
+        for (size_t i = 0; i < bsk.bsk.size(); ++i) {
+            for (size_t j = 0; j < count; ++j) {
+                rot[j] = modSwitch(cts[j]->a[i]);
+            }
+            ctx_->recordCmuxRotateBatch(*stream, bsk.bsk[i], accs.data(),
+                                        rot.data(), count, scratch);
         }
-        ctx_->recordCmuxRotateBatch(*stream, bsk.bsk[i], accs.data(),
-                                    rot.data(), count, scratch);
     }
     stream->submit();
     stream->wait();

@@ -403,6 +403,33 @@ TEST(ObsTrace, PipelinedWorkersEmitJobSpans)
     std::remove(path.c_str());
 }
 
+/** A traced pbsBatch shows its serial record phase as one
+ *  recordBlindRotate span in the "tfhe" category. */
+TEST(ObsTrace, BlindRotateRecordPhaseHasSpan)
+{
+    std::string prev = BackendRegistry::instance().active().name();
+    BackendRegistry::instance().select("serial");
+    TfheGateBootstrapper gb(TfheParams::testTiny(), 20241);
+    LweCiphertext in[2] = {gb.encryptBit(true), gb.encryptBit(false)};
+    const LweCiphertext *ins[2] = {&in[0], &in[1]};
+    const Poly *tvs[2] = {&gb.signVector(), &gb.signVector()};
+    std::string path = tempTracePath("record_blind_rotate");
+    obs::enableTrace(path);
+    std::vector<LweCiphertext> out = gb.bootstrapper().pbsBatch(
+        ins, tvs, 2, gb.bootstrapKey(), gb.keySwitchKey());
+    ASSERT_TRUE(obs::writeTrace());
+    obs::disableTrace();
+    std::map<std::string, size_t> cats;
+    validateTrace(path, cats);
+    EXPECT_EQ(cats["tfhe"], 1u);
+    EXPECT_NE(readFile(path).find("\"recordBlindRotate\""),
+              std::string::npos);
+    EXPECT_TRUE(gb.decryptBit(out[0]));
+    EXPECT_FALSE(gb.decryptBit(out[1]));
+    std::remove(path.c_str());
+    BackendRegistry::instance().select(prev);
+}
+
 TEST(ObsTrace, DisableDropsBufferedEvents)
 {
     std::string path = tempTracePath("drop");

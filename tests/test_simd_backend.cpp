@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "backend/registry.h"
@@ -24,9 +26,12 @@
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "ckks/keys.h"
+#include "backend/simd_kernels.h"
 #include "common/primes.h"
+#include "poly/ntt.h"
 #include "poly/rns.h"
 #include "runtime/batched_pbs.h"
+#include "tfhe/params.h"
 
 namespace trinity {
 namespace {
@@ -115,6 +120,135 @@ TEST(SimdEquivalence, NttAllLimbModuli)
                 EXPECT_TRUE(std::ranges::equal(a.flat(), b.flat()))
                     << simd::levelName(level) << " inv n=" << n
                     << " bits=" << bits;
+            }
+        }
+    }
+}
+
+/** First NTT prime above 2^32 for transform length n (wide path). */
+u64
+nttPrimeAbove2p32(size_t n)
+{
+    u64 p = (u64{1} << 32) + 1; // == 1 mod 2n
+    while (!isPrime(p)) {
+        p += 2 * n;
+    }
+    return p;
+}
+
+/**
+ * The narrow-modulus boundary (simd::narrowModulus: q < 2^32). Primes
+ * just below 2^32 (Set-I/II and Set-III: 2q > 2^32, so remainders and
+ * sums need the 33rd bit), a 31-bit prime, and primes just above 2^32
+ * (testTiny's, and the first NTT prime above 2^32 for each n), which
+ * must take the wide path. Every NTT entry point at every level —
+ * forward, inverse, both fused epilogues, and the stage-range calls
+ * over uneven stage and butterfly splits — must match the serial
+ * reference on random and all-(q-1) inputs.
+ */
+TEST(SimdEquivalence, NttNarrowModulusBoundary)
+{
+    const u64 q_set1 = TfheParams::setI().q;
+    const u64 q_set3 = TfheParams::setIII().q;
+    const u64 q_tiny = TfheParams::testTiny().q;
+    ASSERT_EQ(TfheParams::setII().q, q_set1);
+    ASSERT_TRUE(simd::narrowModulus(q_set1));
+    ASSERT_TRUE(simd::narrowModulus(q_set3));
+    ASSERT_FALSE(simd::narrowModulus(q_tiny));
+    const auto &ref = simd::scalarKernels();
+    for (size_t n : {size_t(16), size_t(32), size_t(256), size_t(1024),
+                     size_t(2048)}) {
+        const size_t logn = std::countr_zero(n);
+        // Uneven stage groups (single first stage, then two unequal
+        // multi-stage groups) and butterfly cuts that are neither lane
+        // nor block multiples.
+        const std::vector<size_t> stage_cuts = {0, 1, logn / 2 + 1, logn};
+        std::vector<size_t> b_cuts = {0};
+        for (size_t c : {size_t(3), n / 4 - 1, n / 4 + 5, n / 2 - 3}) {
+            if (c > b_cuts.back() && c < n / 2) {
+                b_cuts.push_back(c);
+            }
+        }
+        b_cuts.push_back(n / 2);
+        for (u64 q : {q_set1, q_set3, findNttPrimes(31, 2 * n, 1)[0],
+                      q_tiny, nttPrimeAbove2p32(n)}) {
+            if ((q - 1) % (2 * n) != 0) {
+                continue; // no 2n-th root of unity for this ring size
+            }
+            Modulus mod(q);
+            auto table = NttTableCache::get(n, q);
+            for (bool saturated : {false, true}) {
+                const auto in = saturated ? std::vector<u64>(n, q - 1)
+                                          : randomSpan(n, q, q ^ n);
+                const auto b0 = randomSpan(n, q, n + 1);
+                const auto b1 = saturated ? std::vector<u64>(n, q - 1)
+                                          : randomSpan(n, q, n + 2);
+                auto fwd = in;
+                table->forward(fwd.data());
+                auto inv = in;
+                table->inverse(inv.data());
+                auto fma_a = in, fma0 = b1, fma1 = b0;
+                ref.nttForwardMulAdd(*table, fma_a.data(), b0.data(),
+                                     fma0.data(), b1.data(), fma1.data());
+                auto ia_a = in, ia_acc = b1;
+                ref.nttInverseAdd(*table, ia_a.data(), ia_acc.data());
+                auto fs = in, is = in;
+                for (size_t g = 0; g + 1 < stage_cuts.size(); ++g) {
+                    for (size_t c = 0; c + 1 < b_cuts.size(); ++c) {
+                        table->forwardStages(fs.data(), stage_cuts[g],
+                                             stage_cuts[g + 1], b_cuts[c],
+                                             b_cuts[c + 1]);
+                        table->inverseStages(is.data(), stage_cuts[g],
+                                             stage_cuts[g + 1], b_cuts[c],
+                                             b_cuts[c + 1], true);
+                    }
+                }
+
+                for (simd::Level level : availableLevels()) {
+                    const auto &ks = simd::kernelsForLevel(level);
+                    const std::string at =
+                        std::string(simd::levelName(level)) +
+                        " q=" + std::to_string(q) +
+                        " n=" + std::to_string(n) +
+                        (saturated ? " all q-1" : " random");
+                    auto got = in;
+                    ks.nttForward(*table, got.data());
+                    EXPECT_EQ(got, fwd) << "fwd " << at;
+                    ks.nttInverse(*table, got.data());
+                    EXPECT_EQ(got, in) << "fwd+inv " << at;
+                    got = in;
+                    ks.nttInverse(*table, got.data());
+                    EXPECT_EQ(got, inv) << "inv " << at;
+
+                    auto ga = in, g0 = b1, g1 = b0;
+                    ks.nttForwardMulAdd(*table, ga.data(), b0.data(),
+                                        g0.data(), b1.data(), g1.data());
+                    EXPECT_EQ(ga, fma_a) << "fwdMulAdd limb " << at;
+                    EXPECT_EQ(g0, fma0) << "fwdMulAdd acc0 " << at;
+                    EXPECT_EQ(g1, fma1) << "fwdMulAdd acc1 " << at;
+                    ga = in;
+                    auto gacc = b1;
+                    ks.nttInverseAdd(*table, ga.data(), gacc.data());
+                    EXPECT_EQ(ga, ia_a) << "invAdd limb " << at;
+                    EXPECT_EQ(gacc, ia_acc) << "invAdd acc " << at;
+
+                    auto gfs = in, gis = in;
+                    for (size_t g = 0; g + 1 < stage_cuts.size(); ++g) {
+                        for (size_t c = 0; c + 1 < b_cuts.size(); ++c) {
+                            ks.nttForwardStages(*table, gfs.data(),
+                                                stage_cuts[g],
+                                                stage_cuts[g + 1],
+                                                b_cuts[c], b_cuts[c + 1]);
+                            ks.nttInverseStages(*table, gis.data(),
+                                                stage_cuts[g],
+                                                stage_cuts[g + 1],
+                                                b_cuts[c], b_cuts[c + 1],
+                                                true);
+                        }
+                    }
+                    EXPECT_EQ(gfs, fs) << "fwd stages " << at;
+                    EXPECT_EQ(gis, is) << "inv stages " << at;
+                }
             }
         }
     }

@@ -279,6 +279,37 @@ TEST(GadgetKernel, ExtProdMacEveryLevelMatchesMulAddChain)
     }
 }
 
+/**
+ * Saturated MAC at the TFHE primes next to 2^32: every operand q-1, so
+ * each 16-row chunk carries the largest lazy sum (acc_hi up to 15) and
+ * 17 / 40 rows fold several chunks. Set-I takes the narrow fold
+ * (2^64, 2^32 and 1 as 32-bit Shoup constants); testTiny's prime just
+ * above 2^32 takes the Barrett fold. Checked against one u128 sum.
+ */
+TEST(GadgetKernel, ExtProdMacSaturatedMatchesU128)
+{
+    for (u64 q : {TfheParams::setI().q, TfheParams::testTiny().q}) {
+        Modulus mod(q);
+        for (size_t rows : {1, 4, 16, 17, 40}) {
+            for (size_t n : {size_t(1024), size_t(13)}) {
+                std::vector<u64> ones(n, q - 1);
+                std::vector<const u64 *> ap(rows, ones.data());
+                // rows * (q-1)^2 < 40 * 2^64 fits a u128.
+                u128 sum = u128(rows) * (q - 1) * (q - 1);
+                const std::vector<u64> want(n, u64(sum % q));
+                for (simd::Level level : availableLevels()) {
+                    std::vector<u64> got(n, 0);
+                    simd::kernelsForLevel(level).extProdMac(
+                        got.data(), ap.data(), ap.data(), rows, mod, n);
+                    ASSERT_EQ(got, want)
+                        << "q=" << q << " rows=" << rows << " n=" << n
+                        << " " << simd::levelName(level);
+                }
+            }
+        }
+    }
+}
+
 TEST(GadgetKernel, LweKsAccumulateEveryLevelMatchesReference)
 {
     const u64 q = TfheParams::setI().q;
