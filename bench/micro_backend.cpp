@@ -9,10 +9,13 @@
  * each limb job. The ntt.tfhe rows run the same fwd+inv round trip at
  * the Set-I blind-rotation shape (N=1024 over the TFHE prime just
  * below 2^32), the shape the kernels' narrow-modulus path serves.
+ * Every timing is the median of five repetitions after one warmup.
  *
  * Usage: bench_micro_backend [--smoke] [--json=PATH] [N [limbs [reps]]]
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -104,6 +107,26 @@ timeTfheNtt(TfheNttWorkload &w)
     return t.elapsedMs();
 }
 
+/** Repetitions behind every timed row. One descheduling moves a
+ *  single-shot --smoke timing by tens of percent, enough to trip the
+ *  CI gate on code nobody touched; the median of five does not. */
+constexpr size_t kRepeats = 5;
+
+/** Median of kRepeats timings of @p time after one untimed warmup on
+ *  the engine just installed (first-touch pages, pool wakeup). */
+template <class W>
+double
+medianMs(double (*time)(W &), W &w)
+{
+    time(w);
+    std::array<double, kRepeats> ms;
+    for (double &m : ms) {
+        m = time(w);
+    }
+    std::sort(ms.begin(), ms.end());
+    return ms[kRepeats / 2];
+}
+
 size_t
 positionalOr(const bench::BenchArgs &args, size_t idx, size_t fallback)
 {
@@ -145,16 +168,6 @@ main(int argc, char **argv)
                 simd::availableLevels() + ", auto = " +
                 simd::levelName(simd::bestAvailableLevel()));
 
-    // One warm run builds NTT tables and converter constants so no
-    // configuration pays setup cost inside the timed region.
-    {
-        RnsPoly x = w.poly;
-        x.toEval();
-        x.toCoeff();
-        (void)w.bconv->convert(w.poly);
-        (void)timeTfheNtt(tw);
-    }
-
     struct Config
     {
         std::string label;
@@ -192,9 +205,9 @@ main(int argc, char **argv)
     double serial_tfhe = 0;
     for (const Config &cfg : configs) {
         BackendRegistry::instance().use(cfg.make());
-        double ntt_ms = timeNtt(w);
-        double bconv_ms = timeBconv(w);
-        double tfhe_ms = timeTfheNtt(tw);
+        double ntt_ms = medianMs(timeNtt, w);
+        double bconv_ms = medianMs(timeBconv, w);
+        double tfhe_ms = medianMs(timeTfheNtt, tw);
         if (cfg.label == "serial") {
             serial_ntt = ntt_ms;
             serial_bconv = bconv_ms;

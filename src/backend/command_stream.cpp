@@ -41,12 +41,7 @@ overrideStreams(int mode)
                             std::memory_order_relaxed);
 }
 
-CommandStream::CommandStream(PolyBackend &owner) : owner_(owner)
-{
-    // Ids start at 1 so 0 can mean "no stream" in caller-side caches.
-    static std::atomic<u64> next_id{1};
-    id_ = next_id.fetch_add(1, std::memory_order_relaxed);
-}
+CommandStream::CommandStream(PolyBackend &owner) : owner_(owner) {}
 
 void
 CommandStream::Command::clearPayload(bool keep_events)
@@ -421,13 +416,26 @@ CommandStream::fence()
     return record(std::move(c), std::move(deps));
 }
 
+bool
+CommandStream::canReplay() const
+{
+    return replayable() && !profilingActive();
+}
+
 void
 CommandStream::submit()
 {
-    if (submitted_) {
-        trinity_fatal("CommandStream: submit() called twice");
+    if (running_) {
+        trinity_fatal("CommandStream: submit() again before wait()");
+    }
+    if (submitted_ && !canReplay()) {
+        trinity_fatal("CommandStream: submit() called twice on a stream "
+                      "that cannot replay (%s)",
+                      replayable() ? "an observer is installed"
+                                   : "its executor runs at record time");
     }
     submitted_ = true;
+    running_ = true;
     onSubmit();
 }
 
@@ -441,6 +449,7 @@ CommandStream::wait()
                       cmds_.size());
     }
     onWait();
+    running_ = false;
 }
 
 void

@@ -23,19 +23,29 @@
  *    record order through the blocking entry points, so serial/simd
  *    engines behave exactly as before;
  *  - ThreadPoolBackend runs a dependency-counting pipelined executor
- *    over its worker pool, overlapping independent commands;
+ *    over its worker pool, overlapping independent commands, and
+ *    replays a submitted stream (see below);
  *  - SimBackend executes functionally at record time and, at submit,
  *    charges the recorded DAG through Machine::canRun/charge with
  *    cross-pool overlap (a live list-schedule instead of sequential
  *    charging).
  *
  * Contract: every recorded resource (job buffers, task captures, the
- * BConvPlan's tables) must stay valid until wait() returns, and two
- * commands may touch the same memory only when ordered by a dependency
- * chain. Results are bit-identical to issuing the same ops through the
- * blocking entry points in record order, on every engine — modular
- * arithmetic is exact, so any dependency-respecting execution order
- * produces the same canonical residues.
+ * BConvPlan's tables) must stay valid until the last wait() returns,
+ * and two commands may touch the same memory only when ordered by a
+ * dependency chain. Results are bit-identical to issuing the same ops
+ * through the blocking entry points in record order, on every engine —
+ * modular arithmetic is exact, so any dependency-respecting execution
+ * order produces the same canonical residues.
+ *
+ * Record once, run many: on an executor that replays (the pipelined
+ * one of ThreadPoolBackend), submit() after wait() runs the same DAG
+ * again, reading the recorded buffers afresh — a caller refills them
+ * between runs and keeps them alive until its last wait(). Executors
+ * that run commands at record time (eager, coalescing, sim) cannot
+ * replay, and no stream replays while profilingActive(), so the kernel
+ * events a run announces are always those of one recording. A second
+ * submit() where canReplay() is false, or before wait(), is fatal.
  *
  * TRINITY_STREAMS=off forces every engine's newStream() to the eager
  * executor (the sync baseline for A/B runs); default is "on".
@@ -158,12 +168,19 @@ class CommandStream
     // --- execution -------------------------------------------------------
 
     /** Close recording and hand the stream to the engine's executor.
-     *  Recording after submit, or submitting twice, is fatal. */
+     *  Recording after submit is fatal. Submitting again re-runs the
+     *  recorded DAG; that needs a wait() in between and canReplay(),
+     *  and is fatal otherwise. */
     void submit();
 
     /** Block until every recorded command has completed. Fatal on an
      *  unsubmitted stream — a wait() that could never finish. */
     void wait();
+
+    /** True when a submit() after wait() may re-run this stream: the
+     *  executor replays and no observer is installed (a replay would
+     *  announce no kernel events). */
+    bool canReplay() const;
 
     /** Commands recorded so far. */
     size_t recorded() const { return cmds_.size(); }
@@ -177,11 +194,9 @@ class CommandStream
      */
     virtual bool deferredExecution() const { return false; }
 
-    /** Process-unique serial of this stream instance. Job handles are
-     *  only meaningful within the stream that issued them; callers
-     *  caching handles across calls (CmuxBatchScratch) compare ids —
-     *  never stream addresses, which the allocator recycles. */
-    u64 id() const { return id_; }
+    /** True when the executor can run the recorded DAG again (see
+     *  canReplay()). False for executors that run at record time. */
+    virtual bool replayable() const { return false; }
 
     PolyBackend &backend() { return owner_; }
 
@@ -247,7 +262,8 @@ class CommandStream
      *  executors do nothing. */
     virtual void onRecord(Command &c) = 0;
 
-    /** Called by submit() after recording closes. */
+    /** Called by every submit(): after recording closes, and again
+     *  for each replay on an executor that replays. */
     virtual void onSubmit() {}
 
     /** Called by wait(); deferred executors block here. */
@@ -269,6 +285,7 @@ class CommandStream
     std::vector<Command> cmds_;
     PolyBackend &owner_;
     bool submitted_ = false;
+    bool running_ = false; ///< submitted and not yet waited on
     /** Derive KernelEvents for the named batch ops at record time.
      *  Only the overlap-pricing executor reads them (the eager path
      *  emits through the engine's own decorator and the pipelined
@@ -280,7 +297,6 @@ class CommandStream
   private:
     Job record(Command c, std::vector<Job> deps);
 
-    u64 id_;
     /** Pass-1 scratch rows owned by the stream so phased BConv data
      *  stays valid until wait() on deferred executors. One entry per
      *  baseConvertPhased() call; the outer vector may grow (entries

@@ -1,5 +1,6 @@
 #include "backend/poly_backend.h"
 
+#include <atomic>
 #include <vector>
 
 #include "backend/auto_table.h"
@@ -41,6 +42,13 @@ dispatchCounter(const char *name)
 // its permutation/sign tables from AutoTableCache so the per-call cost
 // is a pure gather; BConv decomposes into the pass-1 Shoup scaling and
 // the pass-2 matrix product the accelerator maps onto CU arrays.
+
+u64
+PolyBackend::nextSerial()
+{
+    static std::atomic<u64> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void
 PolyBackend::nttForwardBatch(const NttJob *jobs, size_t count)

@@ -187,6 +187,11 @@ class PolyBackend
     /** Number of concurrent workers the engine schedules across. */
     virtual size_t threadCount() const { return 1; }
 
+    /** Process-unique serial of this engine instance, never reused:
+     *  a cache bound to one engine compares serials, not addresses,
+     *  which the allocator recycles. */
+    u64 serial() const { return serial_; }
+
     /**
      * Batch-sizing hint for serving layers: how many independent
      * same-shape work items (e.g. ciphertexts in a fused PBS batch)
@@ -299,7 +304,10 @@ class PolyBackend
     }
 
   private:
+    static u64 nextSerial();
+
     const simd::KernelSet *kernels_ = &simd::scalarKernels();
+    const u64 serial_ = nextSerial();
 };
 
 } // namespace trinity

@@ -76,6 +76,10 @@ resolveThreadCount(size_t threads)
  * atomic chains and the deque mutexes establish the happens-before
  * edges of every dependency, so results stay bit-identical to eager
  * record-order execution and the executor is clean under TSan.
+ *
+ * The stream replays: the dependents lists, seed set and worker deques
+ * are built on the first submit and kept, so a later submit() of the
+ * same DAG only resets the per-command counters before it runs.
  */
 class PipelinedStream final : public CommandStream
 {
@@ -83,6 +87,7 @@ class PipelinedStream final : public CommandStream
     using CommandStream::CommandStream;
 
     bool deferredExecution() const override { return true; }
+    bool replayable() const override { return true; }
 
   protected:
     void
@@ -98,7 +103,9 @@ class PipelinedStream final : public CommandStream
         // recorded metadata in record order (named ops on this engine
         // never emitted events — there is no decorator here). The
         // events carry their record-time scope, so deliver them
-        // without the emission-time restamp.
+        // without the emission-time restamp. Only a first run gets
+        // here with an observer installed: submit() refuses replays
+        // while profiling.
         if (profilingActive()) {
             for (const Command &c : cmds_) {
                 if (c.op == Op::Task) {
@@ -107,6 +114,9 @@ class PipelinedStream final : public CommandStream
                     }
                 }
             }
+        }
+        if (slots_ == nullptr) {
+            buildTopology();
         }
         execute();
     }
@@ -120,6 +130,40 @@ class PipelinedStream final : public CommandStream
         std::deque<std::pair<u32, u32>> q; ///< (command, job) pairs
     };
 
+    /** The DAG's shape, derived on the first submit and kept, so a
+     *  replay only resets the counters: every command's dependents
+     *  as one CSR array, the dependency-free seed commands, and the
+     *  per-command counters and worker deques. */
+    void
+    buildTopology()
+    {
+        size_t n = cmds_.size();
+        dependentsAt_.assign(n + 1, 0);
+        for (const Command &c : cmds_) {
+            for (u32 d : c.deps) {
+                ++dependentsAt_[d + 1];
+            }
+        }
+        for (size_t i = 0; i < n; ++i) {
+            dependentsAt_[i + 1] += dependentsAt_[i];
+        }
+        dependents_.resize(dependentsAt_[n]);
+        std::vector<u32> fill(dependentsAt_.begin(),
+                              dependentsAt_.end() - 1);
+        for (size_t i = 0; i < n; ++i) {
+            for (u32 d : cmds_[i].deps) {
+                dependents_[fill[d]++] = static_cast<u32>(i);
+            }
+            if (cmds_[i].deps.empty()) {
+                seeds_.push_back(static_cast<u32>(i));
+            }
+        }
+        depsLeft_.reset(new std::atomic<size_t>[n]);
+        doneJobs_.reset(new std::atomic<size_t>[n]);
+        nslots_ = owner_.threadCount();
+        slots_ = std::make_unique<Slot[]>(nslots_);
+    }
+
     void
     execute()
     {
@@ -128,13 +172,10 @@ class PipelinedStream final : public CommandStream
             return;
         }
         PolyBackend &b = owner_;
-        const size_t nslots = b.threadCount();
-        std::vector<Slot> slots(nslots);
-        std::vector<std::vector<u32>> dependents(n);
-        std::unique_ptr<std::atomic<size_t>[]> deps_left(
-            new std::atomic<size_t>[n]);
-        std::unique_ptr<std::atomic<size_t>[]> done_jobs(
-            new std::atomic<size_t>[n]);
+        const size_t nslots = nslots_;
+        Slot *slots = slots_.get();
+        std::atomic<size_t> *deps_left = depsLeft_.get();
+        std::atomic<size_t> *done_jobs = doneJobs_.get();
         std::atomic<size_t> remaining{n};
         std::mutex idle_mtx;
         std::condition_variable idle_cv;
@@ -144,9 +185,6 @@ class PipelinedStream final : public CommandStream
             deps_left[i].store(cmds_[i].deps.size(),
                                std::memory_order_relaxed);
             done_jobs[i].store(0, std::memory_order_relaxed);
-            for (u32 d : cmds_[i].deps) {
-                dependents[d].push_back(static_cast<u32>(i));
-            }
         }
 
         // Publish-then-bump: work becomes visible in a deque first,
@@ -175,7 +213,9 @@ class PipelinedStream final : public CommandStream
 
         std::function<void(u32, size_t)> complete = [&](u32 id,
                                                         size_t slot) {
-            for (u32 dep : dependents[id]) {
+            for (u32 k = dependentsAt_[id]; k < dependentsAt_[id + 1];
+                 ++k) {
+                u32 dep = dependents_[k];
                 if (deps_left[dep].fetch_sub(1) == 1) {
                     if (cmds_[dep].jobCount() == 0) {
                         complete(dep, slot); // fences cascade
@@ -193,20 +233,16 @@ class PipelinedStream final : public CommandStream
         // so the pool starts balanced without any stealing.
         {
             size_t r = 0;
-            for (size_t i = 0; i < n; ++i) {
-                if (!cmds_[i].deps.empty()) {
-                    continue;
-                }
+            for (u32 i : seeds_) {
                 size_t total = cmds_[i].jobCount();
                 if (total == 0) {
-                    complete(static_cast<u32>(i), 0);
+                    complete(i, 0);
                     continue;
                 }
                 for (size_t j = 0; j < total; ++j, ++r) {
                     Slot &s = slots[r % nslots];
                     std::lock_guard<std::mutex> lk(s.mtx);
-                    s.q.emplace_back(static_cast<u32>(i),
-                                     static_cast<u32>(j));
+                    s.q.emplace_back(i, static_cast<u32>(j));
                 }
             }
         }
@@ -315,6 +351,14 @@ class PipelinedStream final : public CommandStream
             }
         });
     }
+
+    std::vector<u32> dependentsAt_; ///< CSR offsets, one per command + 1
+    std::vector<u32> dependents_;   ///< commands waiting on each command
+    std::vector<u32> seeds_;        ///< commands with no dependency
+    std::unique_ptr<std::atomic<size_t>[]> depsLeft_;
+    std::unique_ptr<std::atomic<size_t>[]> doneJobs_;
+    std::unique_ptr<Slot[]> slots_; ///< null until the first submit
+    size_t nslots_ = 0;
 };
 
 ThreadPoolBackend::ThreadPoolBackend(size_t threads)

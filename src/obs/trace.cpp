@@ -48,6 +48,8 @@ struct TraceEvent
     double durUs;    // virtual only
     const char *argName;
     u64 arg;
+    const char *argName2;
+    u64 arg2;
 };
 
 /** Per-thread event buffer. The owning thread appends under the
@@ -160,13 +162,14 @@ internTraceStr(const std::string &s)
 
 void
 traceComplete(const char *name, const char *cat, const char *track,
-              u64 startNs, u64 durNs, const char *argName, u64 arg)
+              u64 startNs, u64 durNs, const char *argName, u64 arg,
+              const char *argName2, u64 arg2)
 {
     if (!traceActive()) {
         return;
     }
     append(TraceEvent{name, cat, track, 'X', false, 0, nullptr, startNs,
-                      durNs, 0.0, 0.0, argName, arg});
+                      durNs, 0.0, 0.0, argName, arg, argName2, arg2});
 }
 
 void
@@ -176,7 +179,8 @@ traceInstant(const char *name, const char *cat, const char *track)
         return;
     }
     append(TraceEvent{name, cat, track, 'i', false, 0, nullptr,
-                      detail::nowNs(), 0, 0.0, 0.0, nullptr, 0});
+                      detail::nowNs(), 0, 0.0, 0.0, nullptr, 0, nullptr,
+                      0});
 }
 
 void
@@ -187,7 +191,7 @@ traceVirtualSpan(const char *name, const char *cat, const char *track,
         return;
     }
     append(TraceEvent{name, cat, track, 'X', true, tid, tidName, 0, 0,
-                      tsUs, durUs, nullptr, 0});
+                      tsUs, durUs, nullptr, 0, nullptr, 0});
 }
 
 bool
@@ -325,8 +329,13 @@ writeTrace()
                     pid, tid, ts_us,
                     static_cast<double>(ev.durNs) / 1000.0);
             if (ev.argName != nullptr) {
-                fprintf(f, ",\"args\":{\"%s\":%llu}", ev.argName,
+                fprintf(f, ",\"args\":{\"%s\":%llu", ev.argName,
                         static_cast<unsigned long long>(ev.arg));
+                if (ev.argName2 != nullptr) {
+                    fprintf(f, ",\"%s\":%llu", ev.argName2,
+                            static_cast<unsigned long long>(ev.arg2));
+                }
+                fputc('}', f);
             }
             fputc('}', f);
         }

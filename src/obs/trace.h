@@ -78,10 +78,12 @@ void disableTrace();
 const char *internTraceStr(const std::string &s);
 
 /** Append one complete ('X') wall-clock span. @p startNs from
- *  detail::nowNs(); @p argName (optional) attaches one integer arg. */
+ *  detail::nowNs(); @p argName and @p argName2 (optional) attach up
+ *  to two integer args. */
 void traceComplete(const char *name, const char *cat, const char *track,
                    u64 startNs, u64 durNs,
-                   const char *argName = nullptr, u64 arg = 0);
+                   const char *argName = nullptr, u64 arg = 0,
+                   const char *argName2 = nullptr, u64 arg2 = 0);
 
 /** Append one instant ('i') event at the current time. */
 void traceInstant(const char *name, const char *cat, const char *track);
@@ -104,7 +106,8 @@ class TraceSpan
 {
   public:
     TraceSpan(const char *name, const char *cat, const char *track,
-              const char *argName = nullptr, u64 arg = 0)
+              const char *argName = nullptr, u64 arg = 0,
+              const char *argName2 = nullptr, u64 arg2 = 0)
     {
         if (traceActive()) {
             name_ = name;
@@ -112,6 +115,8 @@ class TraceSpan
             track_ = track;
             argName_ = argName;
             arg_ = arg;
+            argName2_ = argName2;
+            arg2_ = arg2;
             start_ = detail::nowNs();
         }
     }
@@ -120,7 +125,8 @@ class TraceSpan
     {
         if (name_ != nullptr) {
             traceComplete(name_, cat_, track_, start_,
-                          detail::nowNs() - start_, argName_, arg_);
+                          detail::nowNs() - start_, argName_, arg_,
+                          argName2_, arg2_);
         }
     }
 
@@ -133,6 +139,8 @@ class TraceSpan
     const char *track_ = "";
     const char *argName_ = nullptr;
     u64 arg_ = 0;
+    const char *argName2_ = nullptr;
+    u64 arg2_ = 0;
     u64 start_ = 0;
 };
 

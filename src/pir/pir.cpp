@@ -1,5 +1,6 @@
 #include "pir/pir.h"
 
+#include "backend/command_stream.h"
 #include "backend/registry.h"
 #include "common/env.h"
 #include "common/logging.h"

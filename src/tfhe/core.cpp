@@ -339,178 +339,6 @@ TfheContext::cmux(const GgswCiphertext &c, const GlweCiphertext &ct0,
     return glweAdd(ct0, prod);
 }
 
-namespace {
-
-/** Component c of a GLWE, counting the body as component k. */
-Poly &
-glweComp(GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-const Poly &
-glweComp(const GlweCiphertext &ct, size_t c)
-{
-    return c < ct.a.size() ? ct.a[c] : ct.b;
-}
-
-} // namespace
-
-void
-TfheContext::cmuxRotateBatch(const GgswCiphertext &ggsw,
-                             GlweCiphertext *accs, const u64 *rotations,
-                             size_t count, CmuxBatchScratch &sc) const
-{
-    // Thin record-and-wait wrapper: one step recorded into a fresh
-    // stream. Serving paths that run many steps record them all into
-    // one stream instead (see TfheBootstrapper::blindRotateBatch) so
-    // consecutive steps pipeline.
-    auto stream = activeBackend().newStream();
-    recordCmuxRotateBatch(*stream, ggsw, accs, rotations, count, sc);
-    stream->submit();
-    stream->wait();
-}
-
-void
-TfheContext::recordCmuxRotateBatch(CommandStream &stream,
-                                   const GgswCiphertext &ggsw,
-                                   GlweCiphertext *accs,
-                                   const u64 *rotations, size_t count,
-                                   CmuxBatchScratch &sc) const
-{
-    trinity_assert(ggsw.inEval,
-                   "GGSW must be in the NTT domain (call ggswToEval)");
-    size_t n = params_.bigN;
-    size_t comps = params_.k + 1;
-    size_t rows = params_.extRows();
-    u64 two_n = 2 * n;
-    u32 lb = params_.lb;
-    // Bounds the fixed-size digit/pointer arrays below.
-    trinity_assert(rows <= 16, "cmuxRotateBatch: unsupported gadget shape");
-    // Kernels are fixed at record time, from the engine that will run
-    // the stream.
-    const simd::KernelSet *ks = &activeBackend().kernels();
-
-    // A zero rotation is a no-op CMux (the sequential path skips it);
-    // record the step over the active requests only.
-    sc.active.clear();
-    for (size_t j = 0; j < count; ++j) {
-        if (rotations[j] % two_n != 0) {
-            sc.active.push_back(j);
-        }
-    }
-    if (sc.active.empty()) {
-        return;
-    }
-    // Size the workspace per request slot on first use. Later steps
-    // of the same batch reuse the same regions — the per-slot job
-    // chain orders that reuse — and never grow them, so every pointer
-    // recorded into the stream stays stable.
-    while (sc.prod.size() < count) {
-        sc.prod.push_back(glweTrivial(Poly(n, params_.q)));
-    }
-    while (sc.dec.size() < count * rows) {
-        sc.dec.emplace_back(n, params_.q);
-    }
-    if (sc.lastJob.size() < count) {
-        sc.lastJob.resize(count);
-    }
-    if (sc.boundStream != stream.id()) {
-        // Job handles are indices into one stream's command list; a
-        // fresh stream starts fresh chains.
-        sc.lastJob.assign(sc.lastJob.size(), Job{});
-        sc.boundStream = stream.id();
-    }
-
-    // Per active request j, one five-command chain. Distinct requests
-    // share no buffers (scratch is slot-indexed), so a pipelined
-    // engine overlaps them freely — request A can be in its MACs
-    // while request B is still decomposing, and across recorded
-    // steps the NTTs of step i+1 run under the MACs of step i.
-    for (size_t j : sc.active) {
-        u64 t = rotations[j] % two_n;
-
-        // (1+2) Rotator, CMux difference, and gadget decomposition
-        // fused into one gather pass per limb: the difference
-        //     diff_j[x] = (acc_j * X^{t_j})[x] - acc_j[x]
-        // is decomposed the moment it is produced, so it is never
-        // materialized — the working set is just the decomposition
-        // limbs, the products, and the accumulators. Depends on the
-        // slot's previous accumulate (RAW on accs[j], WAW on the
-        // slot's scratch region).
-        Job dec = stream.task(
-            comps,
-            [this, ks, accs, j, t, &sc, n, rows, lb](size_t c) {
-                const Poly &src = glweComp(accs[j], c);
-                trinity_assert(src.domain() == Domain::Coeff,
-                               "blind-rotation accumulator must be in "
-                               "coefficient domain");
-                u64 *dst[16]; // lb <= rows <= 16, asserted above
-                for (u32 l = 0; l < lb; ++l) {
-                    dst[l] = sc.dec[j * rows + c * lb + l].coeffs().data();
-                }
-                ks->rotateDecompose(dst, src.coeffs().data(), t, gadget_,
-                                    mod_, n);
-            },
-            {sc.lastJob[j]},
-            {{sim::KernelType::Rotate, comps * n, n, 16 * comps * n},
-             {sim::KernelType::ModAdd, comps * n, n, 16 * comps * n},
-             {sim::KernelType::Decomp, comps * n, n, 16 * comps * n}});
-
-        // (3) Forward NTTs of the slot's `rows` decomposed limbs.
-        std::vector<NttJob> fwd;
-        fwd.reserve(rows);
-        for (size_t r = 0; r < rows; ++r) {
-            Poly &p = sc.dec[j * rows + r];
-            p.setDomain(Domain::Eval);
-            fwd.push_back({p.coeffs().data(), &p.nttTable()});
-        }
-        Job ntt = stream.nttForward(std::move(fwd), {dec});
-
-        // (4) External-product MACs against the shared GGSW rows,
-        // with lazy reduction (KernelSet::extProdMac): each output
-        // coefficient accumulates its rows' products in 128 bits and
-        // reduces once, replacing `rows` Barrett reductions per
-        // coefficient with one — an exact fold, so the sum is
-        // bit-identical to a sequential mulAdd chain.
-        for (size_t c = 0; c < comps; ++c) {
-            glweComp(sc.prod[j], c).setDomain(Domain::Eval);
-        }
-        Job mac = stream.task(
-            comps,
-            [this, ks, &ggsw, j, &sc, n, rows](size_t c) {
-                const u64 *dec_ptr[16];
-                const u64 *rhs_ptr[16];
-                for (size_t r = 0; r < rows; ++r) {
-                    dec_ptr[r] = sc.dec[j * rows + r].coeffs().data();
-                    rhs_ptr[r] =
-                        glweComp(ggsw.rows[r], c).coeffs().data();
-                }
-                ks->extProdMac(glweComp(sc.prod[j], c).coeffs().data(),
-                               dec_ptr, rhs_ptr, rows, mod_, n);
-            },
-            {ntt},
-            {{sim::KernelType::Ip,
-              static_cast<u64>(rows) * comps * n, n,
-              16 * static_cast<u64>(rows) * comps * n}});
-
-        // (5+6) Fused inverse NTT + CMux accumulate: each product limb
-        // leaves its final GS stage (with the N^{-1} scaling folded
-        // in) and is added onto the accumulator while still hot in
-        // cache — one command instead of an iNTT batch plus an
-        // accumulate task.
-        std::vector<NttInvAddJob> inv;
-        inv.reserve(comps);
-        for (size_t c = 0; c < comps; ++c) {
-            Poly &p = glweComp(sc.prod[j], c);
-            p.setDomain(Domain::Coeff);
-            inv.push_back({p.coeffs().data(), &p.nttTable(),
-                           glweComp(accs[j], c).coeffs().data()});
-        }
-        sc.lastJob[j] = stream.nttInverseAdd(std::move(inv), {mac});
-    }
-}
-
 GlweCiphertext
 TfheContext::glweMulMonomial(const GlweCiphertext &ct, u64 t) const
 {

@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "backend/command_stream.h"
 #include "backend/poly_backend.h"
 #include "common/gadget.h"
 #include "common/rng.h"
@@ -55,30 +54,6 @@ struct GlweSecretKey
 
     /** Flatten to the extracted LWE key of dimension k*N. */
     LweSecretKey extractLweKey() const;
-};
-
-/**
- * Reusable workspace for the batched CMux steps: the per-request
- * decomposition and product polynomials, indexed by request slot. A
- * serving batch allocates this once (sized on the first recorded
- * step) and reuses it across all n_lwe blind-rotation steps; the
- * per-slot `lastJob` chain orders each slot's reuse of its scratch
- * region across steps when the steps are recorded into one stream.
- * The buffers must stay alive — and must not reallocate — until the
- * stream that recorded them completes, which the fixed per-request
- * sizing guarantees for a constant batch width.
- */
-struct CmuxBatchScratch
-{
-    std::vector<GlweCiphertext> prod; ///< external product per request
-    std::vector<Poly> dec;            ///< extRows() polys per request
-    std::vector<size_t> active;       ///< requests with rotation != 0
-    std::vector<Job> lastJob;         ///< per-request recorded chain tail
-    /** CommandStream::id() the lastJob handles belong to (0 = none);
-     *  recording into a different stream resets the chains — job ids
-     *  are per-stream, and ids (unlike addresses, which the allocator
-     *  recycles) never alias across stream instances. */
-    u64 boundStream = 0;
 };
 
 /** TFHE context: parameters + samplers + gadget precomputation. */
@@ -147,40 +122,6 @@ class TfheContext
     /** CMux(c, ct0, ct1) = ct0 + c (x) (ct1 - ct0). */
     GlweCiphertext cmux(const GgswCiphertext &c, const GlweCiphertext &ct0,
                         const GlweCiphertext &ct1) const;
-
-    /**
-     * One lockstep step of batched blind rotation: for every request
-     * j with rotations[j] != 0 (mod 2N),
-     *     accs[j] = CMux(ggsw, accs[j], accs[j] * X^{rotations[j]}),
-     * recording each request's rotate/decompose -> NTT -> MAC -> iNTT
-     * -> accumulate chain into its own dependency pipeline and then
-     * executing the stream (record-and-wait wrapper around
-     * recordCmuxRotateBatch). Bit-identical to calling cmux() per
-     * request; the GGSW is shared across the batch, so its rows stay
-     * cache-resident for all count accumulations (Trinity's CU
-     * bootstrap batching).
-     */
-    void cmuxRotateBatch(const GgswCiphertext &ggsw, GlweCiphertext *accs,
-                         const u64 *rotations, size_t count,
-                         CmuxBatchScratch &scratch) const;
-
-    /**
-     * Record one lockstep CMux step into @p stream without executing
-     * it (on eager engines recording *is* execution). Each request
-     * slot j gets its own dependency chain, linked to the slot's
-     * chain tail from the previous step (scratch.lastJob[j]) — so
-     * when a whole blind rotation is recorded into one stream, a
-     * pipelined engine runs the NTTs of step i+1 under the MACs of
-     * step i across slots. Rotation amounts are captured by value at
-     * record time; accs, ggsw, and scratch must outlive the stream's
-     * wait(). The scratch must not be shared with a wider batch while
-     * a stream recorded against it is pending.
-     */
-    void recordCmuxRotateBatch(CommandStream &stream,
-                               const GgswCiphertext &ggsw,
-                               GlweCiphertext *accs,
-                               const u64 *rotations, size_t count,
-                               CmuxBatchScratch &scratch) const;
 
     /**
      * GGSW encryption of a polynomial message (e.g. -s_j for the

@@ -1,14 +1,271 @@
 #include "tfhe/pbs.h"
 
 #include <algorithm>
-#include <cstring>
+#include <array>
 
+#include "backend/command_stream.h"
 #include "backend/observer.h"
 #include "backend/registry.h"
 #include "common/logging.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace trinity {
+
+namespace {
+
+/** Component c of a GLWE, counting the body as component k. */
+Poly &
+glweComp(GlweCiphertext &ct, size_t c)
+{
+    return c < ct.a.size() ? ct.a[c] : ct.b;
+}
+
+const Poly &
+glweComp(const GlweCiphertext &ct, size_t c)
+{
+    return c < ct.a.size() ? ct.a[c] : ct.b;
+}
+
+/**
+ * One thread's blind-rotation plan: the workspace of a lockstep batch
+ * of `batch` requests and, on an engine that replays, the stream
+ * recording all steps x batch CMux chains. Its jobs read the rotation
+ * table and the batch's bootstrap key when they run, not when they
+ * are recorded, so a batch with the same key (any tenant) only refills
+ * the table and the accumulators and submits the stream again.
+ */
+struct BlindRotationPlan
+{
+    /** What the recorded DAG depends on: the engine instance (its
+     *  serial, never its address), the GLWE and gadget shape, the
+     *  step count n_lwe, and the batch width. */
+    using Key = std::array<u64, 8>;
+
+    static Key
+    keyOf(const TfheParams &p, const PolyBackend &engine, size_t steps,
+          size_t batch)
+    {
+        return {engine.serial(), p.bigN, p.q,    p.k,
+                p.lb,            p.logBg, steps, batch};
+    }
+
+    BlindRotationPlan(const TfheContext &ctx, const PolyBackend &engine,
+                      size_t steps_, size_t batch_)
+        : key(keyOf(ctx.params(), engine, steps_, batch_)),
+          mod(ctx.modulus()), gadget(ctx.extGadget()),
+          table(NttTableCache::get(ctx.params().bigN, ctx.q())),
+          ks(&engine.kernels()), n(ctx.params().bigN),
+          comps(ctx.params().k + 1), rows(ctx.params().extRows()),
+          steps(steps_), batch(batch_), acc(batch_),
+          dec(batch_ * rows * n), prod(batch_ * comps * n),
+          rot(steps_ * batch_)
+    {
+        // Bounds the fixed-size digit/pointer arrays of the jobs.
+        trinity_assert(rows <= 16, "blind rotation: unsupported gadget "
+                                   "shape");
+        for (GlweCiphertext &a : acc) {
+            a = ctx.glweTrivial(Poly(n, ctx.q()));
+        }
+    }
+
+    u64 *decAt(size_t slot, size_t r)
+    {
+        return &dec[(slot * rows + r) * n];
+    }
+    u64 *prodAt(size_t slot, size_t c)
+    {
+        return &prod[(slot * comps + c) * n];
+    }
+
+    const Key key;
+    const Modulus mod;
+    const Gadget gadget;
+    const std::shared_ptr<const NttTable> table;
+    const simd::KernelSet *const ks; ///< the keyed engine's kernels
+    const size_t n, comps, rows, steps, batch;
+
+    std::vector<GlweCiphertext> acc; ///< per-slot accumulators
+    std::vector<u64> dec;            ///< rows decomposed limbs per slot
+    std::vector<u64> prod;           ///< comps product limbs per slot
+    std::vector<u64> rot;            ///< rotations, [step * batch + slot]
+    const TfheBootstrapKey *bsk = nullptr; ///< the running batch's key
+    /** Kept across batches only when it records every (step, slot)
+     *  on an executor that replays; else null between batches. */
+    std::unique_ptr<CommandStream> stream;
+};
+
+/** Where a job works: its plan, step and request slot. Sixteen bytes,
+ *  so the task closures that capture it need no heap block. */
+struct PlanAt
+{
+    BlindRotationPlan *plan;
+    u32 step;
+    u32 slot;
+
+    u64 rotation() const
+    {
+        return plan->rot[size_t(step) * plan->batch + slot];
+    }
+};
+
+/**
+ * Record the blind rotation of @p plan's batch into @p stream: per
+ * request slot one dependency chain through the steps, four commands
+ * per step — rotate+decompose, forward NTTs, MAC against the step's
+ * GGSW, and inverse NTT + accumulate. Distinct slots share no buffers,
+ * so a pipelined engine overlaps them freely and runs the NTTs of step
+ * i+1 under the MACs of step i. Every job reads its rotation when it
+ * runs and returns at once when it is zero: a zero-rotation CMux adds
+ * 0, so skipping it is exact.
+ *
+ * With @p every_step the stream holds every (step, slot) and its NTT
+ * stages are tasks too, so a replay serves any rotations. Otherwise a
+ * zero-rotation step is left out at record time and the NTT stages
+ * are the named ops — the DAG an executor that runs (or prices) at
+ * record time sees.
+ */
+void
+recordBlindRotate(CommandStream &stream, BlindRotationPlan &plan,
+                  bool every_step)
+{
+    size_t n = plan.n;
+    size_t comps = plan.comps;
+    size_t rows = plan.rows;
+    std::vector<Job> tail(plan.batch); // per-slot chain tail
+    for (u32 i = 0; i < plan.steps; ++i) {
+        for (u32 j = 0; j < plan.batch; ++j) {
+            PlanAt at{&plan, i, j};
+            if (!every_step && at.rotation() == 0) {
+                continue;
+            }
+            // (1+2) Rotator, CMux difference, and gadget decomposition
+            // fused into one gather pass per component: the difference
+            //     diff_j[x] = (acc_j * X^{t_j})[x] - acc_j[x]
+            // is decomposed the moment it is produced, never
+            // materialized. Depends on the slot's previous accumulate
+            // (RAW on the accumulator, WAW on the slot's scratch).
+            Job dec = stream.task(
+                comps,
+                [at](size_t c) {
+                    BlindRotationPlan &p = *at.plan;
+                    u64 t = at.rotation();
+                    if (t == 0) {
+                        return;
+                    }
+                    u64 *dst[16]; // lb <= rows <= 16
+                    for (u32 l = 0; l < p.gadget.levels(); ++l) {
+                        dst[l] = p.decAt(at.slot,
+                                         c * p.gadget.levels() + l);
+                    }
+                    p.ks->rotateDecompose(
+                        dst, glweComp(p.acc[at.slot], c).coeffs().data(),
+                        t, p.gadget, p.mod, p.n);
+                },
+                {tail[j]},
+                {{sim::KernelType::Rotate, comps * n, n, 16 * comps * n},
+                 {sim::KernelType::ModAdd, comps * n, n, 16 * comps * n},
+                 {sim::KernelType::Decomp, comps * n, n,
+                  16 * comps * n}});
+
+            // (3) Forward NTTs of the slot's `rows` decomposed limbs.
+            Job ntt;
+            if (every_step) {
+                ntt = stream.task(
+                    rows,
+                    [at](size_t r) {
+                        if (at.rotation() != 0) {
+                            BlindRotationPlan &p = *at.plan;
+                            p.ks->nttForward(*p.table,
+                                             p.decAt(at.slot, r));
+                        }
+                    },
+                    {dec});
+            } else {
+                std::vector<NttJob> fwd(rows);
+                for (size_t r = 0; r < rows; ++r) {
+                    fwd[r] = {plan.decAt(j, r), plan.table.get()};
+                }
+                ntt = stream.nttForward(std::move(fwd), {dec});
+            }
+
+            // (4) External-product MACs against the step's GGSW rows,
+            // read from the running batch's key, with lazy reduction
+            // (KernelSet::extProdMac): one exact fold per coefficient,
+            // bit-identical to a sequential mulAdd chain.
+            Job mac = stream.task(
+                comps,
+                [at](size_t c) {
+                    BlindRotationPlan &p = *at.plan;
+                    if (at.rotation() == 0) {
+                        return;
+                    }
+                    const GgswCiphertext &g = p.bsk->bsk[at.step];
+                    const u64 *lhs[16];
+                    const u64 *rhs[16];
+                    for (size_t r = 0; r < p.rows; ++r) {
+                        lhs[r] = p.decAt(at.slot, r);
+                        rhs[r] = glweComp(g.rows[r], c).coeffs().data();
+                    }
+                    p.ks->extProdMac(p.prodAt(at.slot, c), lhs, rhs,
+                                     p.rows, p.mod, p.n);
+                },
+                {ntt},
+                {{sim::KernelType::Ip, static_cast<u64>(rows) * comps * n,
+                  n, 16 * static_cast<u64>(rows) * comps * n}});
+
+            // (5+6) Fused inverse NTT + CMux accumulate: each product
+            // limb leaves its final GS stage (N^{-1} folded in) and is
+            // added onto the accumulator while still hot in cache.
+            if (every_step) {
+                tail[j] = stream.task(
+                    comps,
+                    [at](size_t c) {
+                        BlindRotationPlan &p = *at.plan;
+                        if (at.rotation() != 0) {
+                            p.ks->nttInverseAdd(
+                                *p.table, p.prodAt(at.slot, c),
+                                glweComp(p.acc[at.slot], c)
+                                    .coeffs()
+                                    .data());
+                        }
+                    },
+                    {mac});
+            } else {
+                std::vector<NttInvAddJob> inv(comps);
+                for (size_t c = 0; c < comps; ++c) {
+                    inv[c] = {plan.prodAt(j, c), plan.table.get(),
+                              glweComp(plan.acc[j], c).coeffs().data()};
+                }
+                tail[j] = stream.nttInverseAdd(std::move(inv), {mac});
+            }
+        }
+    }
+}
+
+/** This thread's plan for (engine, shape, batch): the cached one when
+ *  its key matches, else a new one — the old plan and its stream are
+ *  freed first, so at most one is alive per thread. A stale plan never
+ *  touches its engine, which may be gone. */
+BlindRotationPlan &
+threadPlan(const TfheContext &ctx, const PolyBackend &engine,
+           size_t steps, size_t batch)
+{
+    static thread_local std::unique_ptr<BlindRotationPlan> plan;
+    static obs::Counter &builds =
+        obs::MetricsRegistry::instance().counter("tfhe.plan.builds");
+    if (plan == nullptr ||
+        plan->key != BlindRotationPlan::keyOf(ctx.params(), engine, steps,
+                                              batch)) {
+        plan.reset();
+        plan = std::make_unique<BlindRotationPlan>(ctx, engine, steps,
+                                                   batch);
+        builds.add();
+    }
+    return *plan;
+}
+
+} // namespace
 
 TfheBootstrapper::TfheBootstrapper(std::shared_ptr<TfheContext> ctx)
     : ctx_(std::move(ctx))
@@ -263,60 +520,72 @@ TfheBootstrapper::blindRotateBatch(const LweCiphertext *const *cts,
 {
     const auto &p = ctx_->params();
     u64 two_n = 2 * p.bigN;
-    std::vector<GlweCiphertext> accs;
     if (count == 0) {
-        return accs;
+        return {};
     }
-    accs.reserve(count);
     emitKernel(sim::KernelType::ModSwitch,
                count * (cts[0]->a.size() + 1), p.bigN);
     for (size_t j = 0; j < count; ++j) {
         trinity_assert(cts[j]->a.size() == bsk.bsk.size(),
                        "bsk/ciphertext dimension mismatch");
-        u64 b_tilde = modSwitch(cts[j]->b);
-        // ACC_0 = Rotate(tv, -b~) per request (Algorithm 2 line 2).
-        accs.push_back(ctx_->glweMulMonomial(ctx_->glweTrivial(*tvs[j]),
-                                             two_n - b_tilde));
+    }
+    for (const GgswCiphertext &g : bsk.bsk) {
+        trinity_assert(g.inEval,
+                       "GGSW must be in the NTT domain (call ggswToEval)");
     }
     // Lockstep over the LWE mask: step i applies bsk_i to every
     // request at once, so the GGSW rows are read once per step for
-    // the whole batch instead of once per request. All n_lwe steps
-    // are recorded into ONE command stream: each request carries its
-    // own dependency chain through the steps, so a pipelined engine
-    // runs the NTTs of step i+1 under the MACs of step i (and the
-    // timing backend prices exactly that overlap). Rotation amounts
-    // are captured at record time, so the rot buffer is reusable
-    // per step. The scratch outlives the stream (declared first) and
-    // is pooled per thread across calls — its decomposition/product
-    // polynomials are sized once for a given GLWE shape, so the PBS
-    // hot loop stops allocating after the first batch. A shape change
-    // (different params or a wider batch) rebuilds it.
-    static thread_local CmuxBatchScratch scratch;
-    static thread_local u64 scratch_shape[4] = {0, 0, 0, 0};
-    u64 shape[4] = {p.bigN, p.q, p.k, p.extRows()};
-    if (std::memcmp(shape, scratch_shape, sizeof shape) != 0) {
-        scratch = CmuxBatchScratch{};
-        std::memcpy(scratch_shape, shape, sizeof shape);
-    }
-    auto stream = activeBackend().newStream();
-    std::vector<u64> rot(count);
+    // the whole batch instead of once per request. The whole rotation
+    // is one command stream in this thread's plan (see
+    // recordBlindRotate). Where the engine replays, the stream is
+    // recorded once per plan and every later batch submits it again;
+    // elsewhere it is recorded per batch.
+    PolyBackend &engine = activeBackend();
+    BlindRotationPlan &plan =
+        threadPlan(*ctx_, engine, bsk.bsk.size(), count);
+    // A programmatic overrideStreams(0) since the recording asks for
+    // the eager executor, so it also ends the replays.
+    bool replay = plan.stream != nullptr && plan.stream->canReplay() &&
+                  streamsEnabled();
+    bool keep = replay;
     {
-        // The record phase runs serially on this thread before any
-        // command executes; the span makes that share of a batch
-        // visible next to the stream's own command spans.
+        // The serial phase before any job runs: the table fill and the
+        // ACC_0 copies, plus the recording when there is no replay.
         obs::TraceSpan span("recordBlindRotate", "tfhe", "tfhe",
-                            "requests", count);
-        for (size_t i = 0; i < bsk.bsk.size(); ++i) {
-            for (size_t j = 0; j < count; ++j) {
-                rot[j] = modSwitch(cts[j]->a[i]);
+                            "requests", count, "replay", replay);
+        for (size_t j = 0; j < count; ++j) {
+            const LweCiphertext &ct = *cts[j];
+            for (size_t i = 0; i < plan.steps; ++i) {
+                plan.rot[i * count + j] = modSwitch(ct.a[i]);
             }
-            ctx_->recordCmuxRotateBatch(*stream, bsk.bsk[i], accs.data(),
-                                        rot.data(), count, scratch);
+            // ACC_0 = Rotate(tv, -b~) per request (Algorithm 2 line 2).
+            GlweCiphertext acc0 = ctx_->glweMulMonomial(
+                ctx_->glweTrivial(*tvs[j]), two_n - modSwitch(ct.b));
+            for (size_t c = 0; c <= p.k; ++c) {
+                const std::vector<u64> &src = glweComp(acc0, c).coeffs();
+                std::copy(src.begin(), src.end(),
+                          glweComp(plan.acc[j], c).coeffs().begin());
+            }
+        }
+        plan.bsk = &bsk;
+        if (!replay) {
+            plan.stream.reset();
+            plan.stream = engine.newStream();
+            keep = plan.stream->canReplay();
+            recordBlindRotate(*plan.stream, plan, keep);
         }
     }
-    stream->submit();
-    stream->wait();
-    return accs;
+    if (replay) {
+        static obs::Counter &replays =
+            obs::MetricsRegistry::instance().counter("tfhe.plan.replays");
+        replays.add();
+    }
+    plan.stream->submit();
+    plan.stream->wait();
+    if (!keep) {
+        plan.stream.reset(); // it left this batch's zero steps out
+    }
+    return {plan.acc.begin(), plan.acc.end()};
 }
 
 std::vector<LweCiphertext>

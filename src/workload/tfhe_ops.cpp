@@ -23,7 +23,7 @@ pbsBatchGraph(const TfheParams &p, size_t batch)
     // Each request carries its own dependency chain through the
     // n_lwe blind-rotation steps — the structure the live runtime
     // records as a command stream (one pipeline per request slot, see
-    // TfheContext::recordCmuxRotateBatch). Only a request's own steps
+    // TfheBootstrapper::blindRotateBatch). Only a request's own steps
     // chain; across requests the scheduler overlaps stages on
     // different pools, so the NTT of request A's step i+1 runs under
     // the MAC of request B's step i. pbsBatchGraph(p, 1) stays the

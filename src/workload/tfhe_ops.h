@@ -25,7 +25,7 @@ sim::KernelGraph pbsGraph(const TfheParams &p);
  * Pipelined batched PBS DAG: @p batch independent bootstraps, each
  * carrying its own dependency chain through the n_lwe blind-rotation
  * steps — the command stream the serving runtime (src/runtime/)
- * records (see TfheContext::recordCmuxRotateBatch). Only a request's
+ * records (see TfheBootstrapper::blindRotateBatch). Only a request's
  * own steps chain, so the scheduler overlaps stages of different
  * requests across pools (the NTT of one request's step under the MAC
  * of another's); ModSwitch and SampleExtract/KeySwitch remain fused

@@ -3,11 +3,15 @@
  * Command-stream executor tests: bit-exactness of recorded-stream vs
  * blocking execution on every engine (serial/threads/simd/sim),
  * out-of-order-completion stress over randomized dependency graphs,
- * protocol death tests, the coefficient-tiled NTT path of the thread
+ * record-once replay (a resubmitted stream and the blind-rotation plan
+ * it serves), protocol death tests, the coefficient-tiled NTT path of
+ * the thread
  * pool, and the sim ledger's overlapped-makespan bracketing for a
  * fused PBS batch.
  */
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "backend/thread_pool_backend.h"
 #include "common/primes.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "runtime/batched_pbs.h"
 #include "sim/machine.h"
 #include "workload/tfhe_ops.h"
@@ -282,79 +287,113 @@ TEST(CommandStream, PipelinedPbsBatchMatchesSerialBitExact)
     }
 }
 
-/** The blocking record-and-wait wrapper, called repeatedly with one
- *  shared scratch: every call opens a fresh stream, so the scratch's
- *  cached per-request job chains must rebind (stream ids, not
- *  recycled addresses) and results must match the sequential CMux. */
-TEST(CommandStream, BlockingCmuxWrapperReusesScratchAcrossStreams)
+/** Record once, run many: a pipelined stream submitted, waited on
+ *  and submitted again runs its whole DAG a second time. With the
+ *  inputs restored in place between the runs, both runs reproduce the
+ *  serial bytes, and a counting task runs once per submit. */
+TEST(CommandStream, ResubmitAfterWaitReplaysTheDag)
+{
+    std::vector<u64> ref = runWorkloadOn("serial", 5);
+    overrideStreams(1); // replay is the pipelined executor's
+    activateEngine("threads");
+    Workload w(5);
+    const std::vector<std::vector<u64>> inputs = w.buf;
+    std::atomic<int> runs{0};
+    auto stream = activeBackend().newStream();
+    w.record(*stream);
+    stream->task(1, [&runs](size_t) { runs.fetch_add(1); });
+    ASSERT_TRUE(stream->canReplay());
+    for (int run = 1; run <= 2; ++run) {
+        for (size_t b = 0; b < inputs.size(); ++b) {
+            std::copy(inputs[b].begin(), inputs[b].end(),
+                      w.buf[b].begin());
+        }
+        stream->submit();
+        stream->wait();
+        EXPECT_EQ(w.flat(), ref) << "run " << run;
+        EXPECT_EQ(runs.load(), run);
+    }
+    overrideStreams(-1);
+    BackendRegistry::instance().select("serial");
+}
+
+/** Three batches through one thread's blind-rotation plan. On the
+ *  pipelined pool the stream recorded for the first batch is submitted
+ *  again for the next two, and its jobs read each batch's rotations
+ *  and accumulators when they run; a slot whose a_i mod-switches to 0
+ *  skips that step. Every batch must match the sequential per-request
+ *  blind rotation on every engine. */
+TEST(CommandStream, BlindRotationPlanReplaysAcrossBatches)
 {
     TfheGateBootstrapper gb(TfheParams::testTiny(), 4242);
-    TfheContext &ctx = gb.context();
-    const auto &p = gb.params();
-    const GgswCiphertext &g0 = gb.bootstrapKey().bsk[0];
-    const GgswCiphertext &g1 = gb.bootstrapKey().bsk[1];
-
-    auto run = [&](const std::string &engine) {
-        activateEngine(engine);
-        const TfheBootstrapper &boot = gb.bootstrapper();
-        std::vector<GlweCiphertext> accs;
-        for (size_t j = 0; j < 3; ++j) {
-            accs.push_back(ctx.glweTrivial(boot.makeTestVector(
-                [j](size_t i) { return (i * 31 + j * 7) & 0xffff; })));
-        }
-        std::vector<u64> rot1 = {1, 0, 5};    // slot 1 inactive
-        std::vector<u64> rot2 = {3, 2, 0};    // slot 2 inactive
-        CmuxBatchScratch sc;
-        ctx.cmuxRotateBatch(g0, accs.data(), rot1.data(), accs.size(),
-                            sc);
-        ctx.cmuxRotateBatch(g1, accs.data(), rot2.data(), accs.size(),
-                            sc);
-        BackendRegistry::instance().select("serial");
-        std::vector<u64> flat;
-        for (const auto &acc : accs) {
-            for (size_t c = 0; c <= p.k; ++c) {
-                const Poly &comp = c < p.k ? acc.a[c] : acc.b;
-                flat.insert(flat.end(), comp.coeffs().begin(),
-                            comp.coeffs().end());
+    const TfheBootstrapper &boot = gb.bootstrapper();
+    const TfheParams &p = gb.params();
+    const size_t kBatch = 3;
+    const size_t kRounds = 3;
+    Rng rng(17);
+    std::vector<std::vector<LweCiphertext>> rounds(kRounds);
+    for (size_t r = 0; r < kRounds; ++r) {
+        for (size_t j = 0; j < kBatch; ++j) {
+            LweCiphertext ct;
+            ct.a.resize(p.nLwe);
+            for (size_t i = 0; i < p.nLwe; ++i) {
+                ct.a[i] = (i + j + r) % 4 == 0 ? 0 : rng.uniform(p.q);
             }
+            ct.b = rng.uniform(p.q);
+            rounds[r].push_back(std::move(ct));
         }
-        return flat;
-    };
-    // Sequential reference: CMux per active slot, step by step.
-    auto ref = [&] {
-        BackendRegistry::instance().select("serial");
-        const TfheBootstrapper &boot = gb.bootstrapper();
-        std::vector<GlweCiphertext> accs;
-        for (size_t j = 0; j < 3; ++j) {
-            accs.push_back(ctx.glweTrivial(boot.makeTestVector(
-                [j](size_t i) { return (i * 31 + j * 7) & 0xffff; })));
-        }
-        auto step = [&](const GgswCiphertext &g,
-                        const std::vector<u64> &rots) {
-            for (size_t j = 0; j < accs.size(); ++j) {
-                if (rots[j] % (2 * p.bigN) == 0) {
-                    continue;
-                }
-                GlweCiphertext rotated =
-                    ctx.glweMulMonomial(accs[j], rots[j]);
-                accs[j] = ctx.cmux(g, accs[j], rotated);
-            }
-        };
-        step(g0, {1, 0, 5});
-        step(g1, {3, 2, 0});
-        std::vector<u64> flat;
-        for (const auto &acc : accs) {
-            for (size_t c = 0; c <= p.k; ++c) {
-                const Poly &comp = c < p.k ? acc.a[c] : acc.b;
-                flat.insert(flat.end(), comp.coeffs().begin(),
-                            comp.coeffs().end());
-            }
-        }
-        return flat;
-    }();
-    for (const char *engine : {"serial", "threads", "sim"}) {
-        EXPECT_EQ(run(engine), ref) << engine;
     }
+    std::vector<Poly> tvs;
+    for (size_t j = 0; j < kBatch; ++j) {
+        tvs.push_back(boot.makeTestVector(
+            [j](size_t i) { return (i * 31 + j * 7) & 0xffff; }));
+    }
+    auto flat = [&](const std::vector<GlweCiphertext> &accs) {
+        std::vector<u64> out;
+        for (const auto &acc : accs) {
+            for (size_t c = 0; c <= p.k; ++c) {
+                const Poly &comp = c < p.k ? acc.a[c] : acc.b;
+                out.insert(out.end(), comp.coeffs().begin(),
+                           comp.coeffs().end());
+            }
+        }
+        return out;
+    };
+    BackendRegistry::instance().select("serial");
+    std::vector<std::vector<u64>> ref;
+    for (const auto &cts : rounds) {
+        std::vector<GlweCiphertext> accs;
+        for (size_t j = 0; j < kBatch; ++j) {
+            accs.push_back(
+                boot.blindRotate(cts[j], tvs[j], gb.bootstrapKey()));
+        }
+        ref.push_back(flat(accs));
+    }
+    obs::overrideMetrics(1);
+    obs::Counter &replays =
+        obs::MetricsRegistry::instance().counter("tfhe.plan.replays");
+    for (const char *engine : {"serial", "threads", "sim"}) {
+        activateEngine(engine);
+        u64 before = replays.value();
+        for (size_t r = 0; r < kRounds; ++r) {
+            std::vector<const LweCiphertext *> ins;
+            std::vector<const Poly *> tv_ptrs;
+            for (size_t j = 0; j < kBatch; ++j) {
+                ins.push_back(&rounds[r][j]);
+                tv_ptrs.push_back(&tvs[j]);
+            }
+            EXPECT_EQ(flat(boot.blindRotateBatch(ins.data(),
+                                                 tv_ptrs.data(), kBatch,
+                                                 gb.bootstrapKey())),
+                      ref[r])
+                << engine << " round " << r;
+        }
+        bool replayable = activeBackend().newStream()->canReplay();
+        EXPECT_EQ(replays.value() - before, replayable ? kRounds - 1 : 0)
+            << engine;
+    }
+    obs::overrideMetrics(-1);
+    BackendRegistry::instance().select("serial");
 }
 
 TEST(CommandStreamDeath, WaitOnUnsubmittedStreamIsFatal)
@@ -369,6 +408,38 @@ TEST(CommandStreamDeath, WaitOnUnsubmittedStreamIsFatal)
             stream->wait();
         },
         ::testing::ExitedWithCode(1), "unsubmitted CommandStream");
+}
+
+TEST(CommandStreamDeath, ResubmitOnEagerStreamIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            BackendRegistry::instance().select("serial");
+            Workload w(1);
+            auto stream = activeBackend().newStream();
+            w.record(*stream);
+            stream->submit();
+            stream->wait();
+            stream->submit();
+        },
+        ::testing::ExitedWithCode(1), "cannot replay");
+}
+
+TEST(CommandStreamDeath, ResubmitBeforeWaitIsFatal)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            overrideStreams(1);
+            activateEngine("threads");
+            Workload w(1);
+            auto stream = activeBackend().newStream();
+            w.record(*stream);
+            stream->submit();
+            stream->submit();
+        },
+        ::testing::ExitedWithCode(1), "before wait");
 }
 
 TEST(CommandStreamDeath, RecordingAfterSubmitIsFatal)

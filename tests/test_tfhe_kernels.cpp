@@ -9,7 +9,9 @@
  * rounding boundaries, every rotation edge, and spans that are not a
  * lane multiple. The batch-lockstep keySwitchBatch must reproduce the
  * per-ciphertext loop on every engine, and one PBS batch must price
- * the same kernel lanes on the sim ledger as it always has.
+ * the same kernel lanes on the sim ledger as it always has. Batches
+ * through the cached blind-rotation plan (tenant switches, width
+ * changes, zero rotations, a fresh engine) must equal per-call pbs().
  */
 
 #include <string>
@@ -17,11 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include "backend/command_stream.h"
 #include "backend/registry.h"
 #include "backend/sim_backend.h"
 #include "backend/simd_backend.h"
+#include "backend/thread_pool_backend.h"
 #include "common/gadget.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "pir/params.h"
 #include "tfhe/gates.h"
 #include "tfhe/pbs.h"
@@ -480,6 +485,128 @@ TEST(PbsLedger, LaneTotalsMatchRecordedValues)
             EXPECT_EQ(gb.decryptBit(out[i]), i % 2 == 0);
         }
     }
+}
+
+// ------------------------------------------------------ blind-rotation plan
+
+/** pbsBatch outputs for @p ins under @p gb's keys. */
+std::vector<LweCiphertext>
+runPbsBatch(const TfheGateBootstrapper &gb,
+            const std::vector<LweCiphertext> &ins)
+{
+    std::vector<const LweCiphertext *> cts;
+    std::vector<const Poly *> tvs;
+    for (const LweCiphertext &ct : ins) {
+        cts.push_back(&ct);
+        tvs.push_back(&gb.signVector());
+    }
+    return gb.bootstrapper().pbsBatch(cts.data(), tvs.data(), cts.size(),
+                                      gb.bootstrapKey(), gb.keySwitchKey());
+}
+
+/** Two tenants' keys under the same parameters, each with a pool of
+ *  five inputs; input 1 has a_1 = 0 and a_2 = q-1, which both
+ *  mod-switch to a zero rotation. Refs are the per-call serial pbs(). */
+struct PlanFixture
+{
+    TfheGateBootstrapper gb[2] = {
+        TfheGateBootstrapper(TfheParams::testTiny(), 71),
+        TfheGateBootstrapper(TfheParams::testTiny(), 72)};
+    std::vector<LweCiphertext> ins[2];
+    std::vector<LweCiphertext> ref[2];
+
+    PlanFixture()
+    {
+        EngineGuard guard;
+        BackendRegistry::instance().select("serial");
+        for (int t = 0; t < 2; ++t) {
+            for (int i = 0; i < 5; ++i) {
+                ins[t].push_back(gb[t].encryptBit((i + t) % 2 == 0));
+            }
+            ins[t][1].a[1] = 0;
+            ins[t][1].a[2] = gb[t].params().q - 1;
+            for (const LweCiphertext &ct : ins[t]) {
+                ref[t].push_back(gb[t].bootstrapper().pbs(
+                    ct, gb[t].signVector(), gb[t].bootstrapKey(),
+                    gb[t].keySwitchKey()));
+            }
+        }
+    }
+
+    /** Run tenant @p t's first @p batch inputs and compare each output
+     *  with the per-call reference. */
+    void
+    check(int t, size_t batch, const std::string &what)
+    {
+        std::vector<LweCiphertext> first(ins[t].begin(),
+                                         ins[t].begin() + batch);
+        std::vector<LweCiphertext> out = runPbsBatch(gb[t], first);
+        ASSERT_EQ(out.size(), batch) << what;
+        for (size_t i = 0; i < batch; ++i) {
+            EXPECT_EQ(out[i].a, ref[t][i].a) << what << " input " << i;
+            EXPECT_EQ(out[i].b, ref[t][i].b) << what << " input " << i;
+        }
+    }
+};
+
+/** Counter deltas of the blind-rotation plan cache. */
+struct PlanCounters
+{
+    obs::Counter &builds =
+        obs::MetricsRegistry::instance().counter("tfhe.plan.builds");
+    obs::Counter &replays =
+        obs::MetricsRegistry::instance().counter("tfhe.plan.replays");
+    u64 builds0 = builds.value();
+    u64 replays0 = replays.value();
+
+    u64 newBuilds() const { return builds.value() - builds0; }
+    u64 newReplays() const { return replays.value() - replays0; }
+};
+
+/** A tenant switch with the same batch width replays the plan; a new
+ *  width builds one. On the engine under test (TRINITY_BACKEND), a
+ *  sequence alternating two keys of the same parameters through
+ *  B = 3, 5, 3 builds three plans and, where the engine replays,
+ *  replays every other batch — and every output equals the per-call
+ *  serial pbs() bit for bit, zero-rotation steps included. */
+TEST(PbsPlan, ReplayAcrossTenantsAndWidthsMatchesPerCallPbs)
+{
+    PlanFixture f;
+    EngineGuard guard;
+    // A fresh instance of the engine under test: no cached plan fits.
+    BackendRegistry::instance().select(guard.prev);
+    obs::overrideMetrics(1);
+    PlanCounters ctr;
+    const size_t widths[] = {3, 3, 5, 5, 3, 3};
+    for (size_t s = 0; s < 6; ++s) {
+        f.check(static_cast<int>(s % 2), widths[s],
+                guard.prev + " batch " + std::to_string(s));
+    }
+    bool replayable = activeBackend().newStream()->canReplay();
+    EXPECT_EQ(ctr.newBuilds(), 3u);
+    EXPECT_EQ(ctr.newReplays(), replayable ? 3u : 0u);
+    obs::overrideMetrics(-1);
+}
+
+/** A registry use() of a fresh threads engine between batches (what a
+ *  benchmark's switch to the simulator and back does) must rebuild the
+ *  plan, never replay a stream bound to the destroyed engine. */
+TEST(PbsPlan, FreshEngineRebuildsThePlan)
+{
+    PlanFixture f;
+    EngineGuard guard;
+    obs::overrideMetrics(1);
+    PlanCounters ctr;
+    for (int round = 0; round < 2; ++round) {
+        BackendRegistry::instance().use(
+            std::make_unique<ThreadPoolBackend>(2));
+        f.check(0, 3, "fresh engine " + std::to_string(round));
+    }
+    f.check(1, 3, "same engine, other tenant");
+    bool replayable = activeBackend().newStream()->canReplay();
+    EXPECT_EQ(ctr.newBuilds(), 2u);
+    EXPECT_EQ(ctr.newReplays(), replayable ? 1u : 0u);
+    obs::overrideMetrics(-1);
 }
 
 } // namespace
