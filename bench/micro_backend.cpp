@@ -223,6 +223,12 @@ main(int argc, char **argv)
         bench::row(cfg.label, "bconv.batch",
                    static_cast<double>(reps) / (bconv_ms / 1000.0),
                    "conv/s", "measured");
+        // The serial row is SerialBackend::baseConvert, the reference
+        // recurrence: it reduces every term before the u128 accumulate
+        // and allocates a fresh scratch vector per call. simd-scalar
+        // runs PolyBackend::baseConvert on the scalar KernelSet's lazy
+        // 16-term folds over an arena slab, so it reads above 1x here
+        // without any lane-level speedup.
         bench::row(cfg.label, "bconv.speedup",
                    bconv_ms > 0 ? serial_bconv / bconv_ms : 0, "x",
                    "measured");

@@ -17,7 +17,6 @@
 
 #include "accel/configs.h"
 #include "accel/reported.h"
-#include "backend/command_stream.h"
 #include "backend/registry.h"
 #include "backend/sim_backend.h"
 #include "backend/thread_pool_backend.h"
@@ -128,28 +127,19 @@ measureBatchedPbsOps(TfheGateBootstrapper &gb,
     return ops;
 }
 
-/** Sync-vs-stream A/B on a freshly built thread-pool engine: the same
- *  fused batch, first with eager record-order execution forced (every
- *  recorded command a blocking per-command barrier — narrower batches
- *  than PR 4's fused per-stage dispatches, so this isolates what the
- *  pipelined executor buys over a barrier per command, not a
- *  comparison against the old wide-batch path), then with the
- *  pipelined command-stream executor. */
-void
-measureThreadsSyncVsStream(TfheGateBootstrapper &gb, size_t B,
-                           const Budget &bd, double *sync_ops,
-                           double *stream_ops)
+/** Fused-batch PBS throughput on a freshly built thread-pool engine,
+ *  whose pipelined command-stream executor runs the recorded blind
+ *  rotation. */
+double
+measureThreadsStream(TfheGateBootstrapper &gb, size_t B, const Budget &bd)
 {
     auto &reg = BackendRegistry::instance();
     std::string prev = activeBackend().name();
     reg.use(std::make_unique<ThreadPoolBackend>());
     runtime::BatchedBootstrapper bb(gb);
-    overrideStreams(0);
-    *sync_ops = measureBatchedPbsOps(gb, bb, B, bd, nullptr);
-    overrideStreams(1);
-    *stream_ops = measureBatchedPbsOps(gb, bb, B, bd, nullptr);
-    overrideStreams(-1);
+    double ops = measureBatchedPbsOps(gb, bb, B, bd, nullptr);
     reg.select(prev);
+    return ops;
 }
 
 /** Serving-latency tail: drive a live PbsServer with @p total
@@ -261,22 +251,9 @@ main(int argc, char **argv)
                       "= %.2fx",
                       p.name.c_str(), max_b, best_ops / baseline);
         note(speedup);
-        // Live stage-overlap A/B on the thread-pool engine: the same
-        // lockstep batch with a blocking barrier per recorded command
-        // vs the pipelined command-stream executor.
-        double sync_ops = 0;
-        double stream_ops = 0;
-        measureThreadsSyncVsStream(gb, max_b, batch_budget, &sync_ops,
-                                   &stream_ops);
-        row("Threads sync B=" + std::to_string(max_b), p.name, sync_ops,
-            "OPS", "measured");
         row("Threads stream B=" + std::to_string(max_b), p.name,
-            stream_ops, "OPS", "measured");
-        std::snprintf(speedup, sizeof speedup,
-                      "%s: stream executor speedup over per-command "
-                      "blocking execution on threads = %.2fx",
-                      p.name.c_str(), stream_ops / sync_ops);
-        note(speedup);
+            measureThreadsStream(gb, max_b, batch_budget), "OPS",
+            "measured");
         // Tail latency through the serving front end (queueing +
         // batching + execution), from the runtime's histograms.
         measureServerLatency(gb, p.name, args.smoke ? 32 : 256);

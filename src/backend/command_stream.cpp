@@ -1,45 +1,9 @@
 #include "backend/command_stream.h"
 
-#include <atomic>
-
 #include "backend/kernel_events.h"
-#include "common/env.h"
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace trinity {
-
-namespace {
-
-/** -1: follow TRINITY_STREAMS; 0/1: forced by overrideStreams(). */
-std::atomic<int> g_streamsOverride{-1};
-
-} // namespace
-
-bool
-streamsEnabled()
-{
-    int forced = g_streamsOverride.load(std::memory_order_relaxed);
-    if (forced >= 0) {
-        return forced != 0;
-    }
-    static const bool enabled = [] {
-        static const char *const choices[] = {"on", "off"};
-        size_t idx = 0;
-        if (envChoice("TRINITY_STREAMS", choices, 2, idx)) {
-            return idx == 0;
-        }
-        return true;
-    }();
-    return enabled;
-}
-
-void
-overrideStreams(int mode)
-{
-    g_streamsOverride.store(mode < 0 ? -1 : (mode != 0 ? 1 : 0),
-                            std::memory_order_relaxed);
-}
 
 CommandStream::CommandStream(PolyBackend &owner) : owner_(owner) {}
 
@@ -419,7 +383,7 @@ CommandStream::fence()
 bool
 CommandStream::canReplay() const
 {
-    return replayable() && !profilingActive();
+    return deferredExecution() && !profilingActive();
 }
 
 void
@@ -431,8 +395,9 @@ CommandStream::submit()
     if (submitted_ && !canReplay()) {
         trinity_fatal("CommandStream: submit() called twice on a stream "
                       "that cannot replay (%s)",
-                      replayable() ? "an observer is installed"
-                                   : "its executor runs at record time");
+                      deferredExecution()
+                          ? "an observer is installed"
+                          : "its executor runs at record time");
     }
     submitted_ = true;
     running_ = true;
@@ -614,180 +579,6 @@ EagerStream::onRecord(Command &c)
     // Nothing reads the command after execution; drop the payload so
     // a long recording does not accumulate every job vector/closure.
     c.clearPayload(/*keep_events=*/false);
-}
-
-bool
-CoalescingEagerStream::coalescible(Op op)
-{
-    switch (op) {
-    case Op::NttFwd:
-    case Op::NttInv:
-    case Op::Mul:
-    case Op::Add:
-    case Op::Sub:
-    case Op::Neg:
-    case Op::MulAdd:
-    case Op::NttMulAdd:
-    case Op::NttInvAdd:
-    case Op::ScalarMul:
-    case Op::Auto:
-        return true;
-    default:
-        // BConv/BConvP1/BConvP2 carry per-command pointers beyond the
-        // job vectors; Task closures and fences have no batch form.
-        return false;
-    }
-}
-
-bool
-CoalescingEagerStream::depInWindow(const Command &c) const
-{
-    for (u32 d : c.deps) {
-        for (u32 w : window_) {
-            if (d == w) {
-                return true;
-            }
-        }
-    }
-    return false;
-}
-
-void
-CoalescingEagerStream::executeNow(Command &c)
-{
-    if (c.op == Op::Task && profilingActive()) {
-        for (const KernelEvent &ev : c.events) {
-            emitKernelPrestamped(ev); // scope stamped at record
-        }
-    }
-    executeBlocking(owner_, c);
-    c.clearPayload(/*keep_events=*/false);
-}
-
-void
-CoalescingEagerStream::flush()
-{
-    if (window_.empty()) {
-        return;
-    }
-    if (window_.size() == 1) {
-        executeNow(cmds_[window_[0]]);
-        window_.clear();
-        return;
-    }
-    // Window members are mutually independent commands of one op;
-    // concatenating their job vectors in record order and issuing one
-    // wide batch call is exactly the dispatch a single wide recording
-    // would have made.
-    static obs::Counter &windows =
-        obs::MetricsRegistry::instance().counter(
-            "stream.coalesced_windows");
-    windows.add();
-    switch (windowOp_) {
-    case Op::NttFwd:
-    case Op::NttInv: {
-        std::vector<NttJob> all;
-        for (u32 w : window_) {
-            all.insert(all.end(), cmds_[w].ntt.begin(),
-                       cmds_[w].ntt.end());
-        }
-        if (windowOp_ == Op::NttFwd) {
-            owner_.nttForwardBatch(all.data(), all.size());
-        } else {
-            owner_.nttInverseBatch(all.data(), all.size());
-        }
-        break;
-    }
-    case Op::Mul:
-    case Op::Add:
-    case Op::Sub:
-    case Op::Neg: {
-        std::vector<EltwiseJob> all;
-        for (u32 w : window_) {
-            all.insert(all.end(), cmds_[w].elt.begin(),
-                       cmds_[w].elt.end());
-        }
-        if (windowOp_ == Op::Mul) {
-            owner_.pointwiseMulBatch(all.data(), all.size());
-        } else if (windowOp_ == Op::Add) {
-            owner_.addBatch(all.data(), all.size());
-        } else if (windowOp_ == Op::Sub) {
-            owner_.subBatch(all.data(), all.size());
-        } else {
-            owner_.negBatch(all.data(), all.size());
-        }
-        break;
-    }
-    case Op::MulAdd: {
-        std::vector<MulAddJob> all;
-        for (u32 w : window_) {
-            all.insert(all.end(), cmds_[w].mad.begin(),
-                       cmds_[w].mad.end());
-        }
-        owner_.mulAddBatch(all.data(), all.size());
-        break;
-    }
-    case Op::NttMulAdd: {
-        std::vector<NttMulAddJob> all;
-        for (u32 w : window_) {
-            all.insert(all.end(), cmds_[w].nma.begin(),
-                       cmds_[w].nma.end());
-        }
-        owner_.nttForwardMulAddBatch(all.data(), all.size());
-        break;
-    }
-    case Op::NttInvAdd: {
-        std::vector<NttInvAddJob> all;
-        for (u32 w : window_) {
-            all.insert(all.end(), cmds_[w].nia.begin(),
-                       cmds_[w].nia.end());
-        }
-        owner_.nttInverseAddBatch(all.data(), all.size());
-        break;
-    }
-    case Op::ScalarMul: {
-        std::vector<ScalarMulJob> all;
-        for (u32 w : window_) {
-            all.insert(all.end(), cmds_[w].smul.begin(),
-                       cmds_[w].smul.end());
-        }
-        owner_.scalarMulBatch(all.data(), all.size());
-        break;
-    }
-    case Op::Auto: {
-        std::vector<AutoJob> all;
-        for (u32 w : window_) {
-            all.insert(all.end(), cmds_[w].aut.begin(),
-                       cmds_[w].aut.end());
-        }
-        owner_.automorphismBatch(all.data(), all.size());
-        break;
-    }
-    default:
-        trinity_fatal("CoalescingEagerStream: non-batchable op in "
-                      "coalescing window");
-    }
-    for (u32 w : window_) {
-        cmds_[w].clearPayload(/*keep_events=*/false);
-    }
-    window_.clear();
-}
-
-void
-CoalescingEagerStream::onRecord(Command &c)
-{
-    u32 idx = static_cast<u32>(cmds_.size() - 1);
-    if (!coalescible(c.op)) {
-        flush();
-        executeNow(c);
-        return;
-    }
-    if (!window_.empty() &&
-        (c.op != windowOp_ || depInWindow(c))) {
-        flush();
-    }
-    windowOp_ = c.op;
-    window_.push_back(idx);
 }
 
 } // namespace trinity

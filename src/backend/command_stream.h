@@ -18,13 +18,15 @@
  *     stream->submit();
  *     stream->wait();
  *
- * Execution policy is the engine's choice:
+ * Each engine has one execution policy:
  *  - the default EagerStream executes each command at record time in
  *    record order through the blocking entry points, so serial/simd
  *    engines behave exactly as before;
  *  - ThreadPoolBackend runs a dependency-counting pipelined executor
  *    over its worker pool, overlapping independent commands, and
- *    replays a submitted stream (see below);
+ *    replays a submitted stream (see below). A pool with no workers,
+ *    or a stream recorded from inside a pool job, has nothing to
+ *    overlap onto and gets the EagerStream;
  *  - SimBackend executes functionally at record time and, at submit,
  *    charges the recorded DAG through Machine::canRun/charge with
  *    cross-pool overlap (a live list-schedule instead of sequential
@@ -42,13 +44,10 @@
  * one of ThreadPoolBackend), submit() after wait() runs the same DAG
  * again, reading the recorded buffers afresh — a caller refills them
  * between runs and keeps them alive until its last wait(). Executors
- * that run commands at record time (eager, coalescing, sim) cannot
- * replay, and no stream replays while profilingActive(), so the kernel
- * events a run announces are always those of one recording. A second
- * submit() where canReplay() is false, or before wait(), is fatal.
- *
- * TRINITY_STREAMS=off forces every engine's newStream() to the eager
- * executor (the sync baseline for A/B runs); default is "on".
+ * that run commands at record time (eager, sim) cannot replay, and no
+ * stream replays while profilingActive(), so the kernel events a run
+ * announces are always those of one recording. A second submit() where
+ * canReplay() is false, or before wait(), is fatal.
  */
 
 #ifndef TRINITY_BACKEND_COMMAND_STREAM_H
@@ -80,16 +79,6 @@ struct Job
 
 /** An event fence is itself a recorded (empty) job — see fence(). */
 using Event = Job;
-
-/** True unless TRINITY_STREAMS=off forces eager execution. */
-bool streamsEnabled();
-
-/**
- * Programmatic override of streamsEnabled() for in-process A/B runs
- * (the sync-vs-stream bench rows): 0 forces eager, 1 forces the
- * engine executor, -1 restores the TRINITY_STREAMS default.
- */
-void overrideStreams(int mode);
 
 class CommandStream
 {
@@ -178,8 +167,8 @@ class CommandStream
     void wait();
 
     /** True when a submit() after wait() may re-run this stream: the
-     *  executor replays and no observer is installed (a replay would
-     *  announce no kernel events). */
+     *  executor defers (so it replays) and no observer is installed (a
+     *  replay would announce no kernel events). */
     bool canReplay() const;
 
     /** Commands recorded so far. */
@@ -190,13 +179,10 @@ class CommandStream
      * are then live until wait(), so a recording site must keep every
      * command's buffers distinct. False when commands execute at
      * record time (eager, sim), where a site may reuse one scratch
-     * buffer across commands it records back to back.
+     * buffer across commands it records back to back. The deferring
+     * executor is also the one that replays (see canReplay()).
      */
     virtual bool deferredExecution() const { return false; }
-
-    /** True when the executor can run the recorded DAG again (see
-     *  canReplay()). False for executors that run at record time. */
-    virtual bool replayable() const { return false; }
 
     PolyBackend &backend() { return owner_; }
 
@@ -312,7 +298,7 @@ class CommandStream
  * order, through the owner's blocking batch entry points — submit()
  * and wait() only validate the protocol. Single-stream engines
  * (serial, simd) are therefore byte-for-byte unchanged by stream
- * migration, and TRINITY_STREAMS=off gives every engine this policy.
+ * migration, and a thread pool that cannot pipeline falls back to it.
  */
 class EagerStream final : public CommandStream
 {
@@ -321,49 +307,6 @@ class EagerStream final : public CommandStream
 
   protected:
     void onRecord(Command &c) override;
-};
-
-/**
- * Width-restoring eager executor: commands still run in record order
- * on the recording thread, but adjacent commands of the same batchable
- * op whose dependencies do not cross are held in a window and executed
- * as ONE wide batch call when the window closes (different op, a
- * dependency into the window, fence/submit).
- *
- * Rationale: recording sites tuned for pipelined executors split work
- * into narrow per-limb commands so the dependency graph is fine-
- * grained (hybrid keyswitch records one NTT command per conversion
- * output limb). On an engine that executes eagerly that granularity
- * is pure overhead — l dispatches of 1 job instead of one dispatch of
- * l jobs, defeating the engine's cross-job scheduling. Coalescing
- * restores the wide batches without the recording site caring which
- * executor it talks to. Window members are mutually independent by
- * construction, so batch-call job order equals record order and
- * results stay bit-identical.
- *
- * Reports deferredExecution() = true: a buffered command's payload is
- * read at flush time, so recording sites must keep per-command buffers
- * distinct, exactly as for a pipelined executor.
- */
-class CoalescingEagerStream final : public CommandStream
-{
-  public:
-    using CommandStream::CommandStream;
-
-    bool deferredExecution() const override { return true; }
-
-  protected:
-    void onRecord(Command &c) override;
-    void onSubmit() override { flush(); }
-
-  private:
-    static bool coalescible(Op op);
-    bool depInWindow(const Command &c) const;
-    void flush();
-    void executeNow(Command &c);
-
-    std::vector<u32> window_; ///< buffered command indices, one op
-    Op windowOp_ = Op::Fence;
 };
 
 } // namespace trinity

@@ -248,9 +248,6 @@ SimBackend::~SimBackend()
 std::unique_ptr<CommandStream>
 SimBackend::newStream()
 {
-    if (!streamsEnabled()) {
-        return std::make_unique<EagerStream>(*this);
-    }
     return std::make_unique<SimStream>(*this);
 }
 

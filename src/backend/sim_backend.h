@@ -84,12 +84,11 @@ class SimBackend final : public ObservedBackend
      * as sim::schedule() treats a static graph. The stream's makespan
      * advances the ledger's overlapped estimate
      * (TimingLedger::overlappedCycles) while the per-kernel cells stay
-     * identical to sequential charging. TRINITY_STREAMS=off falls
-     * back to the eager decorator path. Note: stream-recorded kernels
+     * identical to sequential charging. Note: stream-recorded kernels
      * are booked into this backend's ledger directly and are NOT
      * delivered to other globally installed BackendObservers (the
-     * blocking path notifies every observer); run with streams off
-     * when an extra observer must see the full event stream.
+     * blocking path notifies every observer), so an extra observer
+     * sees only the kernels issued through the blocking entry points.
      */
     std::unique_ptr<CommandStream> newStream() override;
 

@@ -87,7 +87,6 @@ class PipelinedStream final : public CommandStream
     using CommandStream::CommandStream;
 
     bool deferredExecution() const override { return true; }
-    bool replayable() const override { return true; }
 
   protected:
     void
@@ -390,13 +389,12 @@ ThreadPoolBackend::newStream()
 {
     // Pipelining needs workers to overlap onto; a re-entrant stream
     // (recorded from inside a pool job) must not dispatch on the pool
-    // it is running on. Both degrade to record-order execution — but
-    // through the coalescing eager executor, which fuses the narrow
-    // per-limb commands pipelining-tuned recording sites emit back
-    // into wide batches this engine can spread across the pool. The
-    // TRINITY_STREAMS=off kill switch takes the same path.
-    if (!streamsEnabled() || workers_.empty() || tls_in_worker) {
-        return std::make_unique<CoalescingEagerStream>(*this);
+    // it is running on. Both run in record order on the recording
+    // thread, where parallelFor already runs inline and nttBatchTiled
+    // declines, so the base class's eager executor does the same work
+    // as any wider batching of its commands would.
+    if (workers_.empty() || tls_in_worker) {
+        return PolyBackend::newStream();
     }
     return std::make_unique<PipelinedStream>(*this);
 }

@@ -54,8 +54,8 @@ class ThreadPoolBackend final : public PolyBackend
     size_t threadCount() const override { return workers_.size() + 1; }
 
     /** Pipelined command-stream executor (dependency-counting ready
-     *  queue over the pool); eager when TRINITY_STREAMS=off, when the
-     *  pool has no workers, or when called from inside a pool job. */
+     *  queue over the pool); the base EagerStream when the pool has
+     *  no workers or when called from inside a pool job. */
     std::unique_ptr<CommandStream> newStream() override;
 
     /** Coefficient-tiled when the batch cannot feed every worker —

@@ -186,8 +186,7 @@ CkksEvaluator::keySwitch(const RnsPoly &d, const CkksEvalKey &evk,
         // command): each limb transforms the moment its producer (the
         // copy, or the pass-2 command that converts it) finishes, and
         // the freshly transformed limb feeds both evk components while
-        // it is hot in cache. Eager engines coalesce the per-limb
-        // commands of a digit back into one wide batch.
+        // it is hot in cache.
         size_t m = 0; // conv outputs are ordered like the t loop
         for (size_t t = 0; t < next; ++t) {
             bool is_digit = t >= begin && t < end;

@@ -21,8 +21,7 @@
  * walk (rank = ceil(p * count)) and return the bucket midpoint.
  *
  * TRINITY_METRICS=on|off (default on) gates collection;
- * overrideMetrics() is the programmatic A/B hook, mirroring
- * overrideStreams().
+ * overrideMetrics() is the programmatic A/B hook.
  */
 
 #ifndef TRINITY_OBS_METRICS_H

@@ -543,10 +543,7 @@ TfheBootstrapper::blindRotateBatch(const LweCiphertext *const *cts,
     PolyBackend &engine = activeBackend();
     BlindRotationPlan &plan =
         threadPlan(*ctx_, engine, bsk.bsk.size(), count);
-    // A programmatic overrideStreams(0) since the recording asks for
-    // the eager executor, so it also ends the replays.
-    bool replay = plan.stream != nullptr && plan.stream->canReplay() &&
-                  streamsEnabled();
+    bool replay = plan.stream != nullptr && plan.stream->canReplay();
     bool keep = replay;
     {
         // The serial phase before any job runs: the table fill and the

@@ -21,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "backend/command_stream.h"
 #include "backend/registry.h"
 #include "backend/sim_backend.h"
 #include "backend/simd_backend.h"
@@ -204,38 +203,28 @@ TEST(CkksPinned, ChainLedgerMatchesRecordedValues)
          1098.7719298245618},
     };
     EngineGuard guard;
-    // Streams on: the recorded DAG is priced with overlap. Streams
-    // off: the eager fallback must charge the same kernels, batches
-    // and compute cycles (it only loses the overlap).
-    for (int streams : {1, 0}) {
-        overrideStreams(streams);
-        for (const Expect &e : cases) {
-            BackendRegistry::instance().select("sim");
-            ChainSetup s(e.params);
-            SimBackend *sb = activeSimBackend();
-            ASSERT_NE(sb, nullptr);
-            sb->ledger().reset();
-            s.chain();
-            const sim::TimingLedger &ledger = sb->ledger();
-            std::string label =
-                std::string(e.name) + (streams ? " streams" : " eager");
-            for (const Row &r : e.rows) {
-                EXPECT_EQ(ledger.elements(r.type), r.elements)
-                    << label << " " << sim::kernelTypeName(r.type);
-                EXPECT_EQ(ledger.calls(r.type), r.calls)
-                    << label << " " << sim::kernelTypeName(r.type);
-            }
-            EXPECT_EQ(ledger.byKernel().size(), e.rows.size()) << label;
-            EXPECT_DOUBLE_EQ(ledger.computeCycles(), e.computeCycles)
-                << label;
-            if (streams == 1) {
-                EXPECT_DOUBLE_EQ(ledger.overlappedCycles(),
-                                 e.overlappedCycles)
-                    << label;
-            }
+    // The recorded DAG is priced with overlap; the per-kernel cells
+    // stay those of sequential charging.
+    for (const Expect &e : cases) {
+        BackendRegistry::instance().select("sim");
+        ChainSetup s(e.params);
+        SimBackend *sb = activeSimBackend();
+        ASSERT_NE(sb, nullptr);
+        sb->ledger().reset();
+        s.chain();
+        const sim::TimingLedger &ledger = sb->ledger();
+        for (const Row &r : e.rows) {
+            EXPECT_EQ(ledger.elements(r.type), r.elements)
+                << e.name << " " << sim::kernelTypeName(r.type);
+            EXPECT_EQ(ledger.calls(r.type), r.calls)
+                << e.name << " " << sim::kernelTypeName(r.type);
         }
+        EXPECT_EQ(ledger.byKernel().size(), e.rows.size()) << e.name;
+        EXPECT_DOUBLE_EQ(ledger.computeCycles(), e.computeCycles)
+            << e.name;
+        EXPECT_DOUBLE_EQ(ledger.overlappedCycles(), e.overlappedCycles)
+            << e.name;
     }
-    overrideStreams(-1);
 }
 
 } // namespace

@@ -1,13 +1,13 @@
 /**
  * @file
  * Command-stream executor tests: bit-exactness of recorded-stream vs
- * blocking execution on every engine (serial/threads/simd/sim),
+ * blocking execution on every engine (serial/threads/simd/sim, and the
+ * thread pool's eager fallback without workers or inside a pool job),
  * out-of-order-completion stress over randomized dependency graphs,
  * record-once replay (a resubmitted stream and the blind-rotation plan
  * it serves), protocol death tests, the coefficient-tiled NTT path of
- * the thread
- * pool, and the sim ledger's overlapped-makespan bracketing for a
- * fused PBS batch.
+ * the thread pool, and the sim ledger's overlapped-makespan bracketing
+ * for a fused PBS batch.
  */
 
 #include <algorithm>
@@ -138,13 +138,16 @@ struct Workload
 
 /** Activate an engine; "threads" gets an explicit 4-worker pool so
  *  the pipelined executor is exercised even on single-core hosts
- *  (the default constructor sizes to hardware concurrency). */
+ *  (the default constructor sizes to hardware concurrency), and
+ *  "threads-1" a pool with no workers, whose streams run eagerly. */
 void
 activateEngine(const std::string &engine)
 {
     auto &reg = BackendRegistry::instance();
     if (engine == "threads") {
         reg.use(std::make_unique<ThreadPoolBackend>(4));
+    } else if (engine == "threads-1") {
+        reg.use(std::make_unique<ThreadPoolBackend>(1));
     } else {
         reg.select(engine);
     }
@@ -168,8 +171,46 @@ TEST(CommandStream, RecordedStreamBitExactAcrossEngines)
     // Blocking reference: the same ops issued eagerly on serial (an
     // EagerStream is by construction the blocking path).
     std::vector<u64> ref = runWorkloadOn("serial", 99);
-    for (const char *engine : {"threads", "simd", "sim"}) {
+    for (const char *engine : {"threads", "threads-1", "simd", "sim"}) {
         EXPECT_EQ(runWorkloadOn(engine, 99), ref) << engine;
+    }
+}
+
+/** A pool that cannot pipeline hands out the eager executor: commands
+ *  run at record time and the stream cannot replay. That holds for a
+ *  pool without workers, and for streams recorded from inside run()
+ *  jobs of a 4-worker pool (dispatching on the pool they run on would
+ *  clobber its batch state); each of the latter must reproduce the
+ *  serial bytes. */
+TEST(CommandStream, PoolThatCannotPipelineRecordsEagerly)
+{
+    ThreadPoolBackend single(1);
+    auto eager = single.newStream();
+    EXPECT_FALSE(eager->deferredExecution());
+    EXPECT_FALSE(eager->canReplay());
+
+    constexpr size_t kJobs = 3;
+    std::vector<std::vector<u64>> ref(kJobs);
+    for (size_t i = 0; i < kJobs; ++i) {
+        ref[i] = runWorkloadOn("serial", 40 + i);
+    }
+    ThreadPoolBackend pool(4);
+    std::vector<std::vector<u64>> got(kJobs);
+    std::vector<int> deferred(kJobs, -1), replays(kJobs, -1);
+    pool.run(kJobs, [&](size_t i) {
+        Workload w(40 + i);
+        auto stream = pool.newStream();
+        deferred[i] = stream->deferredExecution();
+        replays[i] = stream->canReplay();
+        w.record(*stream);
+        stream->submit();
+        stream->wait();
+        got[i] = w.flat();
+    });
+    for (size_t i = 0; i < kJobs; ++i) {
+        EXPECT_EQ(deferred[i], 0) << i;
+        EXPECT_EQ(replays[i], 0) << i;
+        EXPECT_EQ(got[i], ref[i]) << i;
     }
 }
 
@@ -257,6 +298,7 @@ TEST(CommandStream, RandomDagStressMatchesSerial)
     for (u64 seed : {7u, 1234u, 80211u}) {
         auto ref = run("serial", seed);
         EXPECT_EQ(run("threads", seed), ref) << "seed " << seed;
+        EXPECT_EQ(run("threads-1", seed), ref) << "seed " << seed;
         EXPECT_EQ(run("sim", seed), ref) << "seed " << seed;
     }
 }
@@ -294,7 +336,6 @@ TEST(CommandStream, PipelinedPbsBatchMatchesSerialBitExact)
 TEST(CommandStream, ResubmitAfterWaitReplaysTheDag)
 {
     std::vector<u64> ref = runWorkloadOn("serial", 5);
-    overrideStreams(1); // replay is the pipelined executor's
     activateEngine("threads");
     Workload w(5);
     const std::vector<std::vector<u64>> inputs = w.buf;
@@ -313,7 +354,6 @@ TEST(CommandStream, ResubmitAfterWaitReplaysTheDag)
         EXPECT_EQ(w.flat(), ref) << "run " << run;
         EXPECT_EQ(runs.load(), run);
     }
-    overrideStreams(-1);
     BackendRegistry::instance().select("serial");
 }
 
@@ -372,7 +412,7 @@ TEST(CommandStream, BlindRotationPlanReplaysAcrossBatches)
     obs::overrideMetrics(1);
     obs::Counter &replays =
         obs::MetricsRegistry::instance().counter("tfhe.plan.replays");
-    for (const char *engine : {"serial", "threads", "sim"}) {
+    for (const char *engine : {"serial", "threads", "threads-1", "sim"}) {
         activateEngine(engine);
         u64 before = replays.value();
         for (size_t r = 0; r < kRounds; ++r) {
@@ -431,7 +471,6 @@ TEST(CommandStreamDeath, ResubmitBeforeWaitIsFatal)
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     EXPECT_EXIT(
         {
-            overrideStreams(1);
             activateEngine("threads");
             Workload w(1);
             auto stream = activeBackend().newStream();
@@ -506,9 +545,6 @@ TEST(TiledNtt, UnderfullBatchesMatchSerialBitExact)
  */
 TEST(SimStream, OverlappedMakespanBracketsOnFusedPbsBatch)
 {
-    if (!streamsEnabled()) {
-        GTEST_SKIP() << "TRINITY_STREAMS=off";
-    }
     {
         ScopedEnv machine("TRINITY_SIM_MACHINE", "trinity-tfhe");
         BackendRegistry::instance().select("sim");

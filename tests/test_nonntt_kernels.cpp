@@ -426,9 +426,6 @@ TEST(NonNttKernels, StealingExecutorPhasedRoundsMatchSerial)
  *  bit-identical either way. */
 TEST(NonNttKernels, PhasedBConvReducesSimMakespan)
 {
-    if (!streamsEnabled()) {
-        GTEST_SKIP() << "TRINITY_STREAMS=off";
-    }
     constexpr size_t kN = 4096;
     std::vector<u64> from = findNttPrimes(45, 2 * kN, 6);
     std::vector<u64> to = findNttPrimes(50, 2 * kN, 6);

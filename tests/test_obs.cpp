@@ -307,7 +307,7 @@ runStreamWorkload(PolyBackend &backend)
     stream->wait();
 
     // A blocking batch too, so the engine-pid "op" spans appear even
-    // when the stream coalesced or priced everything.
+    // when the stream deferred or priced everything.
     std::vector<NttJob> jobs = {{buf[0].data(), table.get()},
                                 {buf[1].data(), table.get()}};
     backend.nttForwardBatch(jobs.data(), jobs.size());
@@ -384,10 +384,7 @@ TEST(ObsTrace, ValidJsonOnEveryEngine)
 TEST(ObsTrace, PipelinedWorkersEmitJobSpans)
 {
     // A directly constructed pool guarantees workers (the registry
-    // engine collapses to the coalescing fallback on 1-core hosts)
-    // and overrideStreams pins the pipelined executor even when the
-    // suite runs under TRINITY_STREAMS=off.
-    overrideStreams(1);
+    // engine falls back to the eager executor on 1-core hosts).
     std::string path = tempTracePath("pipelined");
     obs::enableTrace(path);
     {
@@ -396,7 +393,6 @@ TEST(ObsTrace, PipelinedWorkersEmitJobSpans)
     }
     ASSERT_TRUE(obs::writeTrace());
     obs::disableTrace();
-    overrideStreams(-1);
     std::map<std::string, size_t> cats;
     validateTrace(path, cats);
     EXPECT_GT(cats["job"], 0u) << "no per-worker job spans";
